@@ -11,10 +11,7 @@ print both forms.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import math
 import sys
 import warnings
 from collections.abc import Sequence
@@ -40,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -49,32 +49,10 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def emit_table(grid: revisions.RevisionGrid) -> str:
-    """Grid as CSV, efficiency rows by injection-rate columns."""
-    return revisions.grid_to_csv(grid)
-
-
-def emit_chart(data: object) -> str:
-    """Render whichever chartable object this is to SVG."""
-    if isinstance(data, ledger.ArrivalSeries):
-        return charts.arrival_chart(data.counts)
-    if isinstance(data, revisions.RevisionTrajectory):
-        return charts.line_chart(data.expected_defects)
-    if isinstance(data, rayleigh.RayleighFit):
-        buckets = max(3, math.ceil(4.0 * data.sigma))
-        return charts.line_chart(
-            rayleigh.expected_bucket_counts(data.k_total, data.sigma, buckets),
-            title="Fitted defect arrivals",
-            x_label="bucket",
-            y_label="expected defects",
-        )
-    if (
-        isinstance(data, (list, tuple))
-        and data
-        and all(isinstance(p, sizing.SizePoint) for p in data)
-    ):
-        return charts.scatter_chart([(p.uf, p.issues) for p in data])
-    raise ValidationError(f"no chart form for {type(data).__name__}")
+def _check_bucket_days(days: float) -> None:
+    # The upper bound is the widest bucket a timedelta can hold.
+    if not 0 < days <= timedelta.max.days:
+        raise ValidationError(f"--bucket-days must be within (0, {timedelta.max.days}], got {days}")
 
 
 def _build_parser() -> _Parser:
@@ -169,7 +147,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
             raise ValidationError("--table and --monte-carlo are mutually exclusive")
         grid = revisions.revision_table(args.units, threshold=args.threshold)
         sys.stdout.write(
-            emit_table(grid) if args.format == "csv" else revisions.grid_to_json(grid)
+            revisions.grid_to_csv(grid) if args.format == "csv" else revisions.grid_to_json(grid)
         )
         return EXIT_OK
     if args.format == "csv":
@@ -249,75 +227,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_series_csv(text: str) -> tuple[list[int], float | None]:
-    """Parse bucket_start,count rows; return counts and inferred width.
-
-    Starts may be ISO UTC timestamps or plain numbers (day offsets).
-    Spacing must be uniform; the inferred width is in days, or None
-    when a single row leaves it undetermined.
-    """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ValidationError("series file is empty; expected a header row")
-    if tuple(rows[0]) != ("bucket_start", "count"):
-        raise ValidationError(
-            f"series header mismatch: expected bucket_start,count, got {','.join(rows[0])}"
-        )
-    starts: list[float] = []
-    counts: list[int] = []
-    diagnostics: list[str] = []
-    for row_no, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
-        if len(row) != 2:
-            diagnostics.append(f"row {row_no}: expected 2 fields, got {len(row)}")
-            continue
-        raw_start, raw_count = (field.strip() for field in row)
-        try:
-            try:
-                start_days = float(raw_start)
-                if not math.isfinite(start_days):
-                    raise ValidationError(f"bucket_start must be finite, got {raw_start!r}")
-            except ValueError:
-                stamp = ledger.parse_timestamp(raw_start)
-                start_days = stamp.timestamp() / 86400.0
-        except ValidationError as exc:
-            diagnostics.append(f"row {row_no}: {exc}")
-            continue
-        try:
-            count = int(raw_count)
-        except ValueError:
-            diagnostics.append(f"row {row_no}: count must be an integer, got {raw_count!r}")
-            continue
-        if count < 0:
-            diagnostics.append(f"row {row_no}: count must be >= 0, got {count}")
-            continue
-        starts.append(start_days)
-        counts.append(count)
-    if diagnostics:
-        raise ValidationError("series file failed validation", diagnostics)
-    if not counts:
-        raise ValidationError("series file has no data rows")
-    if len(starts) == 1:
-        return counts, None
-    width = starts[1] - starts[0]
-    if width <= 0:
-        raise ValidationError("bucket_start values must be strictly increasing")
-    for i in range(1, len(starts) - 1):
-        gap = starts[i + 1] - starts[i]
-        if abs(gap - width) > 1e-6 * max(1.0, abs(width)):
-            raise ValidationError(
-                f"bucket spacing is not uniform: gap after row {i + 1} is {gap:g} "
-                f"days, expected {width:g}"
-            )
-    return counts, width
-
-
 def _cmd_fit_arrival(args: argparse.Namespace) -> int:
-    counts, inferred = _parse_series_csv(_read_text(args.series))
+    counts, inferred = ledger.parse_series(_read_text(args.series))
     bucket_days = args.bucket_days
-    if bucket_days is not None and (not math.isfinite(bucket_days) or bucket_days <= 0):
-        raise ValidationError(f"--bucket-days must be positive, got {bucket_days}")
+    if bucket_days is not None:
+        _check_bucket_days(bucket_days)
     if bucket_days is not None and inferred is not None:
         if abs(bucket_days - inferred) > 1e-6 * max(1.0, abs(inferred)):
             raise ValidationError(
@@ -355,8 +269,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         scope = args.product
     if not records:
         raise ValidationError("no defect records to chart")
-    if not math.isfinite(args.bucket_days) or args.bucket_days <= 0:
-        raise ValidationError(f"--bucket-days must be positive, got {args.bucket_days}")
+    _check_bucket_days(args.bucket_days)
     series = ledger.arrival_series(records, timedelta(days=args.bucket_days))
 
     fitted = None

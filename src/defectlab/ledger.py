@@ -3,21 +3,28 @@
 A ledger is a set of product profiles plus the defect records logged
 against them.  Defect logs travel as CSV, product registries as JSON,
 and the two combine into a single ledger JSON document that the rest
-of the toolkit consumes.
+of the toolkit consumes.  Each input shape has one decoder: every CSV
+document goes through :func:`read_csv_table`, every defect through
+``_record_from_dict`` and every product through ``_profile_from_dict``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from typing import TypeVar
 
 from .errors import ValidationError
+
+T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 #: Column order for defect-log CSV files.  Header row is mandatory.
 DEFECT_CSV_COLUMNS = (
@@ -41,7 +48,14 @@ PRODUCT_JSON_KEYS = (
     "description",
 )
 
+_DEFECT_KEYS = frozenset(DEFECT_CSV_COLUMNS)
+_PRODUCT_KEYS = frozenset(PRODUCT_JSON_KEYS)
+
 SEVERITY_RANGE = (1, 4)
+
+#: Most buckets an arrival series may hold; a bucket width that would
+#: need more is rejected before anything is allocated.
+MAX_BUCKETS = 100_000
 
 
 class Phase(str, Enum):
@@ -174,29 +188,6 @@ class ProductProfile:
 
 
 @dataclass(frozen=True)
-class TimeRecord:
-    """Time spent in one lifecycle phase of one product."""
-
-    product_id: str
-    phase: Phase
-    started_at: datetime
-    ended_at: datetime
-
-    def __post_init__(self) -> None:
-        if not self.product_id:
-            raise ValidationError("product_id must be non-empty")
-        if self.ended_at <= self.started_at:
-            raise ValidationError(
-                f"ended_at {format_timestamp(self.ended_at)} must be after "
-                f"started_at {format_timestamp(self.started_at)}"
-            )
-
-    @property
-    def duration(self) -> timedelta:
-        return self.ended_at - self.started_at
-
-
-@dataclass(frozen=True)
 class ArrivalSeries:
     """Defect discoveries bucketed onto a uniform time grid.
 
@@ -220,190 +211,118 @@ class ArrivalSeries:
         return sum(self.counts)
 
 
-def _parse_optional_int(text: str, column: str) -> int | None:
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"{column} must be an integer, got {text!r}") from None
+def read_csv_table(
+    text: str, columns: tuple[str, ...], what: str, decode: Callable[[list[str]], T]
+) -> list[T]:
+    """Decode every data row of a CSV document whose header is ``columns``.
 
-
-def parse_defect_log(text: str) -> list[DefectRecord]:
-    """Parse a defect-log CSV document into records.
-
-    The header row must match :data:`DEFECT_CSV_COLUMNS` exactly.  All
+    Blank rows are skipped; the rest must have one field per column and
+    are passed to ``decode`` stripped of surrounding whitespace.  All
     problems are collected and reported together, each diagnostic
-    prefixed with the 1-based data row it came from.
+    prefixed with the 1-based data row it came from.  ``what`` names the
+    document in messages.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValidationError(f"{what} line {reader.line_num}: {exc}") from None
     if not rows:
-        raise ValidationError("defect log is empty; expected a header row")
-    header = tuple(rows[0])
-    if header != DEFECT_CSV_COLUMNS:
+        raise ValidationError(f"{what} is empty; expected a header row")
+    if tuple(rows[0]) != columns:
         raise ValidationError(
-            "defect log header mismatch: expected "
-            f"{','.join(DEFECT_CSV_COLUMNS)}, got {','.join(header)}"
+            f"{what} header mismatch: expected {','.join(columns)}, got {','.join(rows[0])}"
         )
-
-    records: list[DefectRecord] = []
+    decoded: list[T] = []
     diagnostics: list[str] = []
-    seen_ids: set[str] = set()
     for row_no, row in enumerate(rows[1:], start=1):
         if not row:
             continue
-        if len(row) != len(DEFECT_CSV_COLUMNS):
-            diagnostics.append(
-                f"row {row_no}: expected {len(DEFECT_CSV_COLUMNS)} fields, got {len(row)}"
-            )
+        if len(row) != len(columns):
+            diagnostics.append(f"row {row_no}: expected {len(columns)} fields, got {len(row)}")
             continue
-        raw = dict(zip(DEFECT_CSV_COLUMNS, (field.strip() for field in row)))
         try:
-            record = DefectRecord(
-                id=raw["id"],
-                product_id=raw["product_id"],
-                phase_injected=_parse_phase(raw["phase_injected"], "phase_injected"),
-                phase_found=_parse_phase(raw["phase_found"], "phase_found"),
-                found_at=parse_timestamp(raw["found_at"]),
-                fixed_at=parse_timestamp(raw["fixed_at"]) if raw["fixed_at"] else None,
-                severity=_parse_severity(raw["severity"]),
-                status=_parse_status(raw["status"]),
-                fix_changes=_parse_optional_int(raw["fix_changes"], "fix_changes"),
-            )
+            decoded.append(decode([field.strip() for field in row]))
         except ValidationError as exc:
-            detail = exc.diagnostics if exc.diagnostics else (str(exc),)
-            diagnostics.extend(f"row {row_no}: {d}" for d in detail)
-            continue
-        if record.id in seen_ids:
-            diagnostics.append(f"row {row_no}: duplicate defect id {record.id!r}")
-            continue
-        seen_ids.add(record.id)
-        records.append(record)
+            diagnostics.extend(f"row {row_no}: {d}" for d in exc.diagnostics or (str(exc),))
     if diagnostics:
-        raise ValidationError("defect log failed validation", diagnostics)
-    return records
+        raise ValidationError(f"{what} failed validation", diagnostics)
+    return decoded
 
 
-def _parse_phase(text: str, column: str) -> Phase:
+def _decode_each(
+    entries: list, label: str, decode: Callable[[object], T], diagnostics: list[str]
+) -> list[T]:
+    """Decode every entry of a JSON array, collecting one diagnostic per
+    problem, prefixed with ``label`` formatted with the entry's index."""
+    decoded: list[T] = []
+    for index, entry in enumerate(entries):
+        try:
+            decoded.append(decode(entry))
+        except ValidationError as exc:
+            prefix = label.format(index)
+            diagnostics.extend(f"{prefix}: {d}" for d in exc.diagnostics or (str(exc),))
+    return decoded
+
+
+def _load_json(text: str, what: str) -> object:
     try:
-        return Phase(text)
-    except ValueError:
-        raise ValidationError(f"unknown {column} {text!r}") from None
-
-
-def _parse_status(text: str) -> Status:
-    try:
-        return Status(text)
-    except ValueError:
-        raise ValidationError(f"unknown status {text!r}") from None
-
-
-def _parse_severity(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        # Pass an out-of-range sentinel through so the record validator
-        # does not double-report; a non-integer is its own diagnostic.
-        raise ValidationError(f"severity must be an integer, got {text!r}") from None
-
-
-def serialize_defect_log(records: Iterable[DefectRecord]) -> str:
-    """Render records back to defect-log CSV.
-
-    Parsing the output yields records equal to the input.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(DEFECT_CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.id,
-            r.product_id,
-            r.phase_injected.value,
-            r.phase_found.value,
-            format_timestamp(r.found_at),
-            format_timestamp(r.fixed_at) if r.fixed_at else "",
-            r.severity,
-            r.status.value,
-            "" if r.fix_changes is None else r.fix_changes,
-        ])
-    return out.getvalue()
-
-
-def parse_product_registry(text: str) -> list[ProductProfile]:
-    """Parse a product registry JSON array into profiles."""
-    try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"product registry is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ValidationError("product registry must be a JSON array of objects")
-
-    profiles: list[ProductProfile] = []
-    diagnostics: list[str] = []
-    seen: set[str] = set()
-    for index, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            diagnostics.append(f"entry {index}: expected an object")
-            continue
-        unknown = sorted(set(entry) - set(PRODUCT_JSON_KEYS))
-        if unknown:
-            diagnostics.append(f"entry {index}: unknown keys {', '.join(unknown)}")
-            continue
-        try:
-            profile = _profile_from_dict(entry)
-        except ValidationError as exc:
-            detail = exc.diagnostics if exc.diagnostics else (str(exc),)
-            diagnostics.extend(f"entry {index}: {d}" for d in detail)
-            continue
-        if profile.product_id in seen:
-            diagnostics.append(f"entry {index}: duplicate product_id {profile.product_id!r}")
-            continue
-        seen.add(profile.product_id)
-        profiles.append(profile)
-    if diagnostics:
-        raise ValidationError("product registry failed validation", diagnostics)
-    return profiles
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _require(entry: dict, key: str, kinds: tuple[type, ...], label: str) -> object:
+def _check_keys(entry: object, keys: frozenset[str]) -> None:
+    if not isinstance(entry, dict):
+        raise ValidationError("expected an object")
+    if not entry.keys() <= keys:
+        raise ValidationError(f"unknown keys {', '.join(sorted(entry.keys() - keys))}")
+
+
+def _require(
+    entry: dict, key: str, kinds: tuple[type, ...], label: str, required: bool = False
+) -> object:
     value = entry.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+    if value is None and not required:
+        return None
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValidationError(f"{key} must be {label}, got {value!r}")
     return value
 
 
-def _profile_from_dict(entry: dict) -> ProductProfile:
-    product_id = _require(entry, "product_id", (str,), "a string")
-    if product_id is None:
-        raise ValidationError("product_id is required")
-    uf = _require(entry, "unique_formulas", (int,), "an integer")
-    kloc = _require(entry, "kloc", (int, float), "a number")
-    fp = _require(entry, "function_points", (int,), "an integer")
-    description = _require(entry, "description", (str,), "a string") or ""
-    return ProductProfile(
-        product_id=product_id,
-        unique_formulas=uf,
-        kloc=None if kloc is None else float(kloc),
-        function_points=fp,
-        description=description,
+@functools.cache  # a pure lookup, made for every enum field of every row
+def _parse_enum(kind: type[E], text: str, column: str) -> E:
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"unknown {column} {text!r}") from None
+
+
+def _record_from_dict(entry: object) -> DefectRecord:
+    """Decode one defect, from a ledger object or a CSV row shaped like one.
+
+    Fields are decoded in column order, so an entry with several
+    problems reports the same first one in either form.
+    """
+    _check_keys(entry, _DEFECT_KEYS)
+    if len(entry) < len(_DEFECT_KEYS):
+        missing = [k for k in DEFECT_CSV_COLUMNS if k not in entry]
+        raise ValidationError(f"defect entry missing keys: {', '.join(missing)}")
+    for key in ("id", "product_id", "phase_injected", "phase_found", "found_at", "status"):
+        if not isinstance(entry[key], str):
+            raise ValidationError(f"{key} must be a string, got {entry[key]!r}")
+    fixed_at = _require(entry, "fixed_at", (str,), "a string or null")
+    return DefectRecord(
+        id=entry["id"],
+        product_id=entry["product_id"],
+        phase_injected=_parse_enum(Phase, entry["phase_injected"], "phase_injected"),
+        phase_found=_parse_enum(Phase, entry["phase_found"], "phase_found"),
+        found_at=parse_timestamp(entry["found_at"]),
+        fixed_at=parse_timestamp(fixed_at) if fixed_at else None,
+        severity=_require(entry, "severity", (int,), "an integer", required=True),
+        status=_parse_enum(Status, entry["status"], "status"),
+        fix_changes=_require(entry, "fix_changes", (int,), "an integer or null"),
     )
-
-
-def _profile_to_dict(profile: ProductProfile) -> dict:
-    return {
-        "product_id": profile.product_id,
-        "unique_formulas": profile.unique_formulas,
-        "kloc": profile.kloc,
-        "function_points": profile.function_points,
-        "description": profile.description,
-    }
-
-
-def serialize_product_registry(profiles: Iterable[ProductProfile]) -> str:
-    """Render profiles as a product registry JSON array with fixed key order."""
-    return json.dumps([_profile_to_dict(p) for p in profiles], indent=2) + "\n"
 
 
 def _record_to_dict(record: DefectRecord) -> dict:
@@ -420,33 +339,154 @@ def _record_to_dict(record: DefectRecord) -> dict:
     }
 
 
-def _record_from_dict(entry: dict) -> DefectRecord:
-    if not isinstance(entry, dict):
-        raise ValidationError("defect entry must be an object")
-    missing = [k for k in DEFECT_CSV_COLUMNS if k not in entry]
-    if missing:
-        raise ValidationError(f"defect entry missing keys: {', '.join(missing)}")
-    for key in ("id", "product_id", "phase_injected", "phase_found", "found_at", "status"):
-        if not isinstance(entry[key], str):
-            raise ValidationError(f"{key} must be a string, got {entry[key]!r}")
-    severity = entry["severity"]
-    if isinstance(severity, bool) or not isinstance(severity, int):
-        raise ValidationError(f"severity must be an integer, got {severity!r}")
-    fixed_at = entry["fixed_at"]
-    fix_changes = entry["fix_changes"]
-    if fix_changes is not None and (isinstance(fix_changes, bool) or not isinstance(fix_changes, int)):
-        raise ValidationError(f"fix_changes must be an integer or null, got {fix_changes!r}")
-    return DefectRecord(
-        id=entry["id"],
-        product_id=entry["product_id"],
-        phase_injected=_parse_phase(entry["phase_injected"], "phase_injected"),
-        phase_found=_parse_phase(entry["phase_found"], "phase_found"),
-        found_at=parse_timestamp(entry["found_at"]),
-        fixed_at=parse_timestamp(fixed_at) if fixed_at else None,
-        severity=severity,
-        status=_parse_status(entry["status"]),
-        fix_changes=fix_changes,
+def _int_or_text(text: str) -> int | str:
+    # A cell that is not an integer stays text, for the record decoder
+    # to reject with the field's name.
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _csv_entry(fields: list[str]) -> dict:
+    """A defect-log row as the ledger object it stands for: empty optional
+    cells become null and integer cells become numbers."""
+    entry = dict(zip(DEFECT_CSV_COLUMNS, fields))
+    entry["fixed_at"] = entry["fixed_at"] or None
+    entry["severity"] = _int_or_text(entry["severity"])
+    entry["fix_changes"] = _int_or_text(entry["fix_changes"]) if entry["fix_changes"] else None
+    return entry
+
+
+def _admit(
+    record: DefectRecord, seen_ids: set[str], products: set[str] | None = None
+) -> DefectRecord:
+    """The ledger's reference rule: defect ids are unique and, when the
+    registered ``products`` are given, every record names one of them."""
+    if record.id in seen_ids:
+        raise ValidationError(f"duplicate defect id {record.id!r}")
+    if products is not None and record.product_id not in products:
+        raise ValidationError(
+            f"defect {record.id!r} references unknown product {record.product_id!r}"
+        )
+    seen_ids.add(record.id)
+    return record
+
+
+def parse_defect_log(text: str) -> list[DefectRecord]:
+    """Parse a defect-log CSV document into records.
+
+    The header row must match :data:`DEFECT_CSV_COLUMNS` exactly.  All
+    problems are collected and reported together, each diagnostic
+    prefixed with the 1-based data row it came from.
+    """
+    seen_ids: set[str] = set()
+    return read_csv_table(
+        text,
+        DEFECT_CSV_COLUMNS,
+        "defect log",
+        lambda fields: _admit(_record_from_dict(_csv_entry(fields)), seen_ids),
     )
+
+
+def serialize_defect_log(records: Iterable[DefectRecord]) -> str:
+    """Render records back to defect-log CSV.
+
+    Parsing the output yields records equal to the input.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(DEFECT_CSV_COLUMNS)
+    for record in records:
+        entry = _record_to_dict(record)
+        writer.writerow(["" if entry[key] is None else entry[key] for key in DEFECT_CSV_COLUMNS])
+    return out.getvalue()
+
+
+def _series_row(fields: list[str]) -> tuple[float, int]:
+    raw_start, raw_count = fields
+    try:
+        start_days = float(raw_start)
+    except ValueError:
+        start_days = parse_timestamp(raw_start).timestamp() / 86400.0
+    if not math.isfinite(start_days):
+        raise ValidationError(f"bucket_start must be finite, got {raw_start!r}")
+    try:
+        count = int(raw_count)
+    except ValueError:
+        raise ValidationError(f"count must be an integer, got {raw_count!r}") from None
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
+    return start_days, count
+
+
+def parse_series(text: str) -> tuple[list[int], float | None]:
+    """Parse a ``bucket_start,count`` CSV; return counts and inferred width.
+
+    Starts may be ISO UTC timestamps or plain numbers (day offsets).
+    Spacing must be uniform; the inferred width is in days, or None
+    when a single row leaves it undetermined.
+    """
+    rows = read_csv_table(text, ("bucket_start", "count"), "series file", _series_row)
+    if not rows:
+        raise ValidationError("series file has no data rows")
+    starts = [start for start, _ in rows]
+    counts = [count for _, count in rows]
+    if len(starts) == 1:
+        return counts, None
+    width = starts[1] - starts[0]
+    if width <= 0:
+        raise ValidationError("bucket_start values must be strictly increasing")
+    for i in range(1, len(starts) - 1):
+        gap = starts[i + 1] - starts[i]
+        if abs(gap - width) > 1e-6 * max(1.0, abs(width)):
+            raise ValidationError(
+                f"bucket spacing is not uniform: gap after row {i + 1} is {gap:g} "
+                f"days, expected {width:g}"
+            )
+    return counts, width
+
+
+def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
+    """Decode one product entry; ``seen`` holds the ids decoded so far."""
+    _check_keys(entry, _PRODUCT_KEYS)
+    product_id = _require(entry, "product_id", (str,), "a string")
+    if product_id is None:
+        raise ValidationError("product_id is required")
+    kloc = _require(entry, "kloc", (int, float), "a number")
+    profile = ProductProfile(
+        product_id=product_id,
+        unique_formulas=_require(entry, "unique_formulas", (int,), "an integer"),
+        kloc=None if kloc is None else float(kloc),
+        function_points=_require(entry, "function_points", (int,), "an integer"),
+        description=_require(entry, "description", (str,), "a string") or "",
+    )
+    if profile.product_id in seen:
+        raise ValidationError(f"duplicate product_id {profile.product_id!r}")
+    seen.add(profile.product_id)
+    return profile
+
+
+def _profile_to_dict(profile: ProductProfile) -> dict:
+    return {key: getattr(profile, key) for key in PRODUCT_JSON_KEYS}
+
+
+def parse_product_registry(text: str) -> list[ProductProfile]:
+    """Parse a product registry JSON array into profiles."""
+    data = _load_json(text, "product registry")
+    if not isinstance(data, list):
+        raise ValidationError("product registry must be a JSON array of objects")
+    diagnostics: list[str] = []
+    seen: set[str] = set()
+    profiles = _decode_each(data, "entry {}", lambda e: _profile_from_dict(e, seen), diagnostics)
+    if diagnostics:
+        raise ValidationError("product registry failed validation", diagnostics)
+    return profiles
+
+
+def serialize_product_registry(profiles: Iterable[ProductProfile]) -> str:
+    """Render profiles as a product registry JSON array with fixed key order."""
+    return json.dumps([_profile_to_dict(p) for p in profiles], indent=2) + "\n"
 
 
 def build_ledger(
@@ -458,16 +498,13 @@ def build_ledger(
     record ids must be unique.
     """
     known = {p.product_id for p in profiles}
-    diagnostics = []
     seen: set[str] = set()
+    diagnostics: list[str] = []
     for record in records:
-        if record.product_id not in known:
-            diagnostics.append(
-                f"defect {record.id!r} references unknown product {record.product_id!r}"
-            )
-        if record.id in seen:
-            diagnostics.append(f"duplicate defect id {record.id!r}")
-        seen.add(record.id)
+        try:
+            _admit(record, seen, known)
+        except ValidationError as exc:
+            diagnostics.append(str(exc))
     if diagnostics:
         raise ValidationError("ledger failed validation", diagnostics)
     return {
@@ -483,47 +520,24 @@ def dump_ledger(profiles: Sequence[ProductProfile], records: Sequence[DefectReco
 
 def load_ledger(text: str) -> tuple[list[ProductProfile], list[DefectRecord]]:
     """Parse and validate a ledger JSON document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"ledger is not valid JSON: {exc}") from None
+    data = _load_json(text, "ledger")
     if not isinstance(data, dict) or set(data) != {"products", "defects"}:
         raise ValidationError("ledger must be an object with 'products' and 'defects' keys")
     if not isinstance(data["products"], list) or not isinstance(data["defects"], list):
         raise ValidationError("ledger 'products' and 'defects' must be arrays")
 
     diagnostics: list[str] = []
-    profiles: list[ProductProfile] = []
-    seen_products: set[str] = set()
-    for index, entry in enumerate(data["products"]):
-        try:
-            if not isinstance(entry, dict):
-                raise ValidationError("expected an object")
-            profile = _profile_from_dict(entry)
-            if profile.product_id in seen_products:
-                raise ValidationError(f"duplicate product_id {profile.product_id!r}")
-            seen_products.add(profile.product_id)
-            profiles.append(profile)
-        except ValidationError as exc:
-            detail = exc.diagnostics if exc.diagnostics else (str(exc),)
-            diagnostics.extend(f"products[{index}]: {d}" for d in detail)
-
-    records: list[DefectRecord] = []
+    known: set[str] = set()
+    profiles = _decode_each(
+        data["products"], "products[{}]", lambda e: _profile_from_dict(e, known), diagnostics
+    )
     seen_ids: set[str] = set()
-    for index, entry in enumerate(data["defects"]):
-        try:
-            record = _record_from_dict(entry)
-            if record.id in seen_ids:
-                raise ValidationError(f"duplicate defect id {record.id!r}")
-            if record.product_id not in seen_products:
-                raise ValidationError(
-                    f"defect {record.id!r} references unknown product {record.product_id!r}"
-                )
-            seen_ids.add(record.id)
-            records.append(record)
-        except ValidationError as exc:
-            detail = exc.diagnostics if exc.diagnostics else (str(exc),)
-            diagnostics.extend(f"defects[{index}]: {d}" for d in detail)
+    records = _decode_each(
+        data["defects"],
+        "defects[{}]",
+        lambda e: _admit(_record_from_dict(e), seen_ids, known),
+        diagnostics,
+    )
     if diagnostics:
         raise ValidationError("ledger failed validation", diagnostics)
     return profiles, records
@@ -537,8 +551,9 @@ def arrival_series(
     """Bucket defect discovery times onto a uniform grid.
 
     ``origin`` defaults to the earliest ``found_at``.  Records found
-    before the origin are an error.  The counts always sum to the
-    number of records.
+    before the origin are an error, and so is a grid of more than
+    :data:`MAX_BUCKETS` buckets.  The counts always sum to the number
+    of records.
     """
     if bucket_width <= timedelta(0):
         raise ValidationError(f"bucket_width must be positive, got {bucket_width}")
@@ -555,7 +570,12 @@ def arrival_series(
             + ", ".join(repr(i) for i in sorted(early))
         )
     indices = [(r.found_at - origin) // bucket_width for r in records]
-    counts = [0] * (max(indices) + 1)
+    buckets = max(indices) + 1
+    if buckets > MAX_BUCKETS:
+        raise ValidationError(
+            f"{buckets} buckets of width {bucket_width} exceed the limit of {MAX_BUCKETS}"
+        )
+    counts = [0] * buckets
     for i in indices:
         counts[i] += 1
     return ArrivalSeries(origin=origin, bucket_width=bucket_width, counts=tuple(counts))

@@ -159,7 +159,9 @@ def summarize(
     """Aggregate the single metrics over one product's records.
 
     With no records at all, every optional metric is absent: nothing
-    can be claimed about a product that was never measured.
+    can be claimed about a product that was never measured.  The
+    injection rate is the density per unique formula read as a rate, so
+    it is absent where recorded defects outnumber unique formulas.
     """
     strangers = sorted({r.id for r in records if r.product_id != profile.product_id})
     if strangers:
@@ -175,7 +177,7 @@ def summarize(
     rate_injected = None
     if profile.unique_formulas is not None:
         density_uf = defect_density(count, profile.unique_formulas, SizeUnit.PER_UF)
-        rate_injected = injection_rate(count, profile.unique_formulas)
+        rate_injected = density_uf if density_uf <= 1.0 else None
     density_kloc = None
     if profile.kloc is not None:
         density_kloc = defect_density(count, profile.kloc, SizeUnit.PER_KLOC)

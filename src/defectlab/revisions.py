@@ -71,17 +71,6 @@ PUBLISHED_REVISIONS = {
     (100, 10): 4, (100, 15): 5, (100, 20): 6, (100, 30): 8,
 }
 
-#: Named parameter presets drawn from reported practice: typical
-#: end-user injection, an audited consultancy process, and the usual
-#: efficiency of informal vs formal review.
-PRESETS: dict[str, dict[str, float]] = {
-    "end-user": {"injection_rate": 0.20},
-    "audited": {"injection_rate": 0.07, "removal_efficiency": 0.75},
-    "informal-review": {"removal_efficiency": 0.50},
-    "formal-inspection": {"removal_efficiency": 0.75},
-}
-
-
 def _check_fraction(name: str, value: float, problems: list[str]) -> None:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         problems.append(f"{name} must be within [0, 1], got {value}")
@@ -221,20 +210,22 @@ def _decay_states(
     states = [initial]
     if initial < threshold:
         return states
-    if removal_efficiency * (1.0 - injection_rate) <= 0.0:
+    net_removal = removal_efficiency * (1.0 - injection_rate)
+    if net_removal <= 0.0:
         raise DivergenceError(
             f"no net defect removal (removal_efficiency={removal_efficiency}, "
             f"injection_rate={injection_rate}); expected defects never fall "
             f"below threshold {threshold}"
         )
+    decay = 1.0 - net_removal
     current = initial
     while current >= threshold:
-        current = revision_step(current, injection_rate, removal_efficiency)
+        current *= decay
         states.append(current)
         if len(states) > MAX_REVISIONS:
             raise DivergenceError(
                 f"no sign-off within {MAX_REVISIONS} revisions; net removal "
-                f"per cycle is only {removal_efficiency * (1.0 - injection_rate):.3g}"
+                f"per cycle is only {net_removal:.3g}"
             )
     return states
 
@@ -370,21 +361,18 @@ def grid_to_json(grid: RevisionGrid) -> str:
     """Grid as JSON: axes, per-cell forecasts with trajectories, and
     the comparison against the published reference grid."""
     cells = []
-    for dre, row in zip(grid.removal_efficiencies, grid.cells):
-        for dir_, model in zip(grid.injection_rates, row):
-            trajectory = None
-            if model is not None:
-                trajectory = _decay_states(grid.units * dir_, dir_, dre, grid.threshold)
-            published = _published_count(dre, dir_, grid.units)
-            cells.append({
-                "removal_efficiency": dre,
-                "injection_rate": dir_,
-                "revisions": model,
-                "divergent": model is None,
-                "trajectory": trajectory,
-                "published": published,
-                "delta": model - published if model is not None and published is not None else None,
-            })
+    for cell in divergence_report(grid):
+        dre, dir_, model = cell["removal_efficiency"], cell["injection_rate"], cell["model"]
+        cells.append({
+            "removal_efficiency": dre,
+            "injection_rate": dir_,
+            "revisions": model,
+            "divergent": model is None,
+            "trajectory": None if model is None
+            else _decay_states(grid.units * dir_, dir_, dre, grid.threshold),
+            "published": cell["published"],
+            "delta": cell["delta"],
+        })
     payload = {
         "units": grid.units,
         "threshold": grid.threshold,

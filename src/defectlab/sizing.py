@@ -7,14 +7,13 @@ spreadsheet models averaging 2,182 unique formulas and 151 issues.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .ledger import read_csv_table
 
 #: Intercept of the default linear model, in issues.
 DEFAULT_LINEAR_INTERCEPT = 62.0
@@ -147,34 +146,14 @@ def residual_sum_of_squares(
     return sum((p.issues - predict(p.uf)) ** 2 for p in points)
 
 
+def _scatter_row(fields: list[str]) -> SizePoint:
+    try:
+        uf, issues = (int(field) for field in fields)
+    except ValueError:
+        raise ValidationError(f"uf and issues must be integers, got {fields}") from None
+    return SizePoint(uf=uf, issues=issues)
+
+
 def parse_scatter(text: str) -> list[SizePoint]:
     """Parse scatter CSV with columns ``uf,issues``."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ValidationError("scatter file is empty; expected a header row")
-    if tuple(rows[0]) != ("uf", "issues"):
-        raise ValidationError(
-            f"scatter header mismatch: expected uf,issues, got {','.join(rows[0])}"
-        )
-    points: list[SizePoint] = []
-    diagnostics: list[str] = []
-    for row_no, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
-        if len(row) != 2:
-            diagnostics.append(f"row {row_no}: expected 2 fields, got {len(row)}")
-            continue
-        try:
-            uf, issues = (int(field.strip()) for field in row)
-        except ValueError:
-            diagnostics.append(f"row {row_no}: uf and issues must be integers, got {row}")
-            continue
-        try:
-            points.append(SizePoint(uf=uf, issues=issues))
-        except ValidationError as exc:
-            detail = exc.diagnostics if exc.diagnostics else (str(exc),)
-            diagnostics.extend(f"row {row_no}: {d}" for d in detail)
-    if diagnostics:
-        raise ValidationError("scatter file failed validation", diagnostics)
-    return points
+    return read_csv_table(text, ("uf", "issues"), "scatter file", _scatter_row)

@@ -8,27 +8,18 @@ from datetime import timedelta
 
 import pytest
 
-from defectlab import (
-    ArrivalSeries,
-    ProcessParams,
-    ValidationError,
-    revision_table,
-    revisions_to_signoff,
-)
+from defectlab import ProductProfile, dump_ledger
 from defectlab.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
-    emit_chart,
-    emit_table,
     run,
 )
 from defectlab.ledger import format_timestamp
-from defectlab.rayleigh import expected_bucket_counts, fit_arrival
-from defectlab.sizing import SizePoint
+from defectlab.rayleigh import expected_bucket_counts
 
-from conftest import EPOCH
+from conftest import EPOCH, make_record
 
 DEFECT_HEADER = (
     "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
@@ -123,6 +114,28 @@ class TestMetrics:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("product_id,defect_count")
         assert len(lines) == 2
+
+    def test_overfull_product_leaves_only_its_rate_absent(self, tmp_path, capsys):
+        defects, products = _sample_inputs(tmp_path)
+        extra = [f"x{i},m2,build,test,2004-03-01T10:00:00Z,,2,open," for i in range(3)]
+        defects.write_text(defects.read_text() + "\n".join(extra) + "\n")
+        products.write_text(
+            '[{"product_id":"m1","unique_formulas":2182,"kloc":1.2},'
+            '{"product_id":"m2","unique_formulas":2}]'
+        )
+        ledger_path = tmp_path / "ledger.json"
+        assert run([
+            "ingest", "--defects", str(defects), "--products", str(products),
+            "--out", str(ledger_path),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["metrics", "--ledger", str(ledger_path)]) == EXIT_OK
+        m1, m2 = json.loads(capsys.readouterr().out)
+        assert m1["injection_rate"] == 10 / 2182
+        assert "injection_rate_basis" in m1
+        assert m2["density_per_uf"] == 1.5
+        assert m2["injection_rate"] is None
+        assert "injection_rate_basis" not in m2
 
     def test_unknown_product_rejected(self, sample_ledger, capsys):
         code = run(["metrics", "--ledger", str(sample_ledger), "--product", "ghost"])
@@ -392,28 +405,85 @@ class TestGrammar:
         assert run(["forecast", "--units", "10", "--sideways"]) == EXIT_VALIDATION
 
 
-class TestEmitters:
-    def test_emit_table_matches_grid_csv(self):
-        grid = revision_table(2000)
-        assert emit_table(grid).startswith("dre_pct\\dir_pct")
+NOT_UTF8 = b"\xff\xfe"
+LONG_FIELD = "x" * 140_000
+PRODUCTS = '[{"product_id":"m1","unique_formulas":10}]'
 
-    def test_emit_chart_dispatches_by_type(self):
-        series = ArrivalSeries(
-            origin=EPOCH, bucket_width=timedelta(days=7), counts=(2, 5, 3)
-        )
-        assert '<rect class="bar"' in emit_chart(series)
 
-        trajectory = revisions_to_signoff(
-            ProcessParams(units=2182, injection_rate=0.07, removal_efficiency=0.75)
-        )
-        assert '<polyline class="series"' in emit_chart(trajectory)
+def _file(tmp_path, name: str, content: str | bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return str(path)
 
-        fit = fit_arrival(expected_bucket_counts(200.0, 4.0, 12))
-        assert '<polyline class="series"' in emit_chart(fit)
 
-        points = [SizePoint(uf=100, issues=12), SizePoint(uf=900, issues=90)]
-        assert '<circle class="point"' in emit_chart(points)
+def _ledger(tmp_path, product: dict | None = None, defect: dict | None = None) -> str:
+    """A valid two-record ledger spanning 27 years, with optional extra keys."""
+    records = [make_record(rid="d1"), make_record(rid="d2", found_offset_h=24 * 365 * 27)]
+    profiles = [ProductProfile(product_id="m1", unique_formulas=100)]
+    document = json.loads(dump_ledger(profiles, records))
+    document["products"][0].update(product or {})
+    document["defects"][0].update(defect or {})
+    return _file(tmp_path, "ledger.json", json.dumps(document))
 
-    def test_emit_chart_rejects_unknown_shapes(self):
-        with pytest.raises(ValidationError, match="no chart form"):
-            emit_chart({"not": "chartable"})
+
+def _ingest(tmp_path, defects: str | bytes, products: str | bytes) -> list[str]:
+    def name(base: str, content: str | bytes) -> str:
+        return f"not-utf8-{base}" if isinstance(content, bytes) else base
+
+    return [
+        "ingest", "--defects", _file(tmp_path, name("defects.csv", defects), defects),
+        "--products", _file(tmp_path, name("products.json", products), products),
+        "--out", str(tmp_path / "out.json"),
+    ]
+
+
+#: Inputs that must end in exit 1 with a single error line, by case.
+CONTRACT_CASES = {
+    "long field, ingest --defects": lambda t: _ingest(
+        t, DEFECT_HEADER + "\n" + LONG_FIELD + "\n", PRODUCTS
+    ),
+    "long field, estimate --fit": lambda t: [
+        "estimate", "--fit", _file(t, "scatter.csv", f"uf,issues\n100,{LONG_FIELD}\n"),
+    ],
+    "long field, fit-arrival --series": lambda t: [
+        "fit-arrival", "--series", _file(t, "series.csv", f"bucket_start,count\n{LONG_FIELD},1\n"),
+    ],
+    "non-UTF-8, ingest --defects": lambda t: _ingest(t, NOT_UTF8, PRODUCTS),
+    "non-UTF-8, ingest --products": lambda t: _ingest(t, DEFECT_HEADER + "\n", NOT_UTF8),
+    "non-UTF-8, metrics --ledger": lambda t: [
+        "metrics", "--ledger", _file(t, "not-utf8.json", NOT_UTF8),
+    ],
+    "non-UTF-8, report --ledger": lambda t: [
+        "report", "--ledger", _file(t, "not-utf8.json", NOT_UTF8), "--svg", str(t / "out.svg"),
+    ],
+    "non-UTF-8, estimate --fit": lambda t: [
+        "estimate", "--fit", _file(t, "not-utf8.csv", NOT_UTF8),
+    ],
+    "non-UTF-8, fit-arrival --series": lambda t: [
+        "fit-arrival", "--series", _file(t, "not-utf8.csv", NOT_UTF8),
+    ],
+    "report --bucket-days 1e10": lambda t: [
+        "report", "--ledger", _ledger(t), "--svg", str(t / "out.svg"), "--bucket-days", "1e10",
+    ],
+    "report --bucket-days 1e-9": lambda t: [
+        "report", "--ledger", _ledger(t), "--svg", str(t / "out.svg"), "--bucket-days", "1e-9",
+    ],
+    "ledger product with an unknown key": lambda t: [
+        "metrics", "--ledger", _ledger(t, product={"loc": 3}),
+    ],
+    "ledger defect with an unknown key": lambda t: [
+        "metrics", "--ledger", _ledger(t, defect={"colour": "red"}),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
+    argv = CONTRACT_CASES[case](tmp_path)
+    capsys.readouterr()
+    assert run(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (error,) = [line for line in err.splitlines() if line.startswith("error:")]
+    if case.startswith("non-UTF-8"):
+        assert "not-utf8" in error

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import string
 from datetime import datetime, timedelta, timezone
 
@@ -17,7 +18,6 @@ from defectlab import (
     Phase,
     ProductProfile,
     Status,
-    TimeRecord,
     ValidationError,
     arrival_series,
     dump_ledger,
@@ -27,7 +27,7 @@ from defectlab import (
     serialize_defect_log,
     serialize_product_registry,
 )
-from defectlab.ledger import format_timestamp, parse_timestamp
+from defectlab.ledger import MAX_BUCKETS, format_timestamp, parse_timestamp
 
 HEADER = "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
 
@@ -129,6 +129,22 @@ class TestParseDefectLog:
             parse_defect_log(text)
         assert "row 1" in str(err.value)
         assert "row 2" in str(err.value)
+
+    def test_oversized_field_is_a_validation_error(self):
+        text = HEADER + "\nd1,m1,build,review,2004-03-01T10:00:00Z,,2,open," + "x" * 140_000 + "\n"
+        with pytest.raises(ValidationError, match="defect log line 2: field larger"):
+            parse_defect_log(text)
+
+    def test_non_integer_fix_changes_named(self):
+        text = HEADER + "\nd1,m1,build,review,2004-03-01T10:00:00Z,,2,open,lots\n"
+        with pytest.raises(ValidationError, match="row 1: fix_changes must be an integer"):
+            parse_defect_log(text)
+
+    def test_first_problem_follows_column_order(self):
+        text = HEADER + "\nd1,m1,sideways,review,2004-03-01T10:00:00Z,,high,open,\n"
+        with pytest.raises(ValidationError) as err:
+            parse_defect_log(text)
+        assert err.value.diagnostics == ("row 1: unknown phase_injected 'sideways'",)
 
     def test_input_order_preserved(self):
         text = (
@@ -246,6 +262,13 @@ class TestArrivalSeries:
         with pytest.raises(ValidationError, match="'early'"):
             arrival_series(records, timedelta(days=7), origin=EPOCH + timedelta(hours=1))
 
+    def test_bucket_count_is_capped_before_allocating(self):
+        records = [make_record(rid="a"), make_record(rid="b", found_offset_h=MAX_BUCKETS - 1)]
+        assert len(arrival_series(records, timedelta(hours=1)).counts) == MAX_BUCKETS
+        records.append(make_record(rid="c", found_offset_h=MAX_BUCKETS))
+        with pytest.raises(ValidationError, match=f"limit of {MAX_BUCKETS}"):
+            arrival_series(records, timedelta(hours=1))
+
     def test_zero_width_rejected(self):
         with pytest.raises(ValidationError, match="bucket_width"):
             arrival_series([], timedelta(0))
@@ -270,26 +293,6 @@ class TestArrivalSeries:
             ArrivalSeries(origin=EPOCH, bucket_width=timedelta(days=1), counts=(1, -2))
 
 
-class TestTimeRecord:
-    def test_duration(self):
-        record = TimeRecord(
-            product_id="m1",
-            phase=Phase.BUILD,
-            started_at=EPOCH,
-            ended_at=EPOCH + timedelta(hours=3),
-        )
-        assert record.duration == timedelta(hours=3)
-
-    def test_end_before_start_rejected(self):
-        with pytest.raises(ValidationError, match="must be after"):
-            TimeRecord(
-                product_id="m1",
-                phase=Phase.BUILD,
-                started_at=EPOCH,
-                ended_at=EPOCH,
-            )
-
-
 class TestLedgerDocument:
     def test_round_trip(self):
         profiles = [ProductProfile(product_id="m1", unique_formulas=100)]
@@ -309,6 +312,48 @@ class TestLedgerDocument:
         records = [make_record(rid="d1"), make_record(rid="d1", found_offset_h=1)]
         with pytest.raises(ValidationError, match="duplicate defect id"):
             dump_ledger(profiles, records)
+
+    def _ledger(self, product: dict, defect: dict) -> str:
+        return json.dumps({"products": [product], "defects": [defect]})
+
+    def _entries(self):
+        profiles = [ProductProfile(product_id="m1", unique_formulas=100)]
+        document = json.loads(dump_ledger(profiles, [make_record(rid="d1", fixed_offset_h=5)]))
+        return document["products"][0], document["defects"][0]
+
+    def test_product_with_unknown_key_rejected(self):
+        product, defect = self._entries()
+        with pytest.raises(ValidationError, match=r"products\[0\]: unknown keys loc"):
+            load_ledger(self._ledger(product | {"loc": 3}, defect))
+
+    def test_defect_with_unknown_key_rejected(self):
+        product, defect = self._entries()
+        with pytest.raises(ValidationError, match=r"defects\[0\]: unknown keys colour"):
+            load_ledger(self._ledger(product, defect | {"colour": "red"}))
+
+    def test_defect_fields_are_type_checked(self):
+        product, defect = self._entries()
+        for key, value, message in (
+            ("fixed_at", 5, "fixed_at must be a string or null, got 5"),
+            ("severity", None, "severity must be an integer, got None"),
+            ("found_at", None, "found_at must be a string, got None"),
+            ("fix_changes", True, "fix_changes must be an integer or null, got True"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                load_ledger(self._ledger(product, defect | {key: value}))
+            assert err.value.diagnostics == (f"defects[0]: {message}",)
+
+    def test_defect_for_unregistered_product_rejected(self):
+        product, defect = self._entries()
+        with pytest.raises(ValidationError, match=r"defects\[0\]: .*unknown product 'ghost'"):
+            load_ledger(self._ledger(product, defect | {"product_id": "ghost"}))
+
+    def test_csv_row_and_ledger_object_decode_alike(self):
+        row = "d1,m1,build,review,2004-03-01T10:00:00Z,2004-03-01T15:00:00Z,2,fixed,4"
+        (record,) = parse_defect_log(HEADER + "\n" + row + "\n")
+        product, _ = self._entries()
+        defect = dict(zip(HEADER.split(","), row.split(",")), severity=2, fix_changes=4)
+        assert load_ledger(self._ledger(product, defect))[1] == [record]
 
     def test_malformed_document_rejected(self):
         with pytest.raises(ValidationError, match="'products' and 'defects'"):

@@ -173,6 +173,23 @@ class TestSummarize:
         summary = summarize(records, audited_profile)
         assert summary.injection_rate == summary.density_per_uf
 
+    def test_more_defects_than_formulas_leaves_the_rate_absent(self):
+        profile = ProductProfile(product_id="m1", unique_formulas=2)
+        summary = summarize([make_record(rid=f"d{i}") for i in range(3)], profile)
+        assert summary.density_per_uf == 1.5
+        assert summary.injection_rate is None
+        (entry,) = json.loads(summaries_to_json([summary]))
+        assert entry["injection_rate"] is None
+        assert "injection_rate_basis" not in entry
+        (row,) = csv.DictReader(io.StringIO(summaries_to_csv([summary])))
+        assert row["injection_rate"] == ""
+        assert row["density_per_uf"] == "1.5"
+
+    def test_one_defect_per_formula_is_still_a_rate(self):
+        profile = ProductProfile(product_id="m1", unique_formulas=2)
+        summary = summarize([make_record(rid=f"d{i}") for i in range(2)], profile)
+        assert summary.injection_rate == summary.density_per_uf == 1.0
+
     def test_empty_records_give_absent_metrics(self, audited_profile):
         summary = summarize([], audited_profile)
         assert summary.defect_count == 0

@@ -27,7 +27,6 @@ from defectlab import (
 from defectlab.revisions import (
     DEFAULT_INJECTION_RATES,
     DEFAULT_REMOVAL_EFFICIENCIES,
-    PRESETS,
     PUBLISHED_GRID_UNITS,
     PUBLISHED_REVISIONS,
     SIGNOFF_THRESHOLD,
@@ -380,13 +379,3 @@ class TestInferEfficiency:
     def test_single_revision_rejected(self):
         with pytest.raises(ValidationError, match="revisions"):
             infer_efficiency(100.0, 1, 0.1)
-
-
-class TestPresets:
-    def test_expected_names_and_fractions(self):
-        assert set(PRESETS) == {"end-user", "audited", "informal-review", "formal-inspection"}
-        assert PRESETS["end-user"]["injection_rate"] == 0.20
-        assert PRESETS["audited"] == {"injection_rate": 0.07, "removal_efficiency": 0.75}
-        for values in PRESETS.values():
-            for value in values.values():
-                assert 0.0 <= value <= 1.0
