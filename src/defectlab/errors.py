@@ -1,8 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types and input bounds shared across the package."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+#: Largest unit, formula or issue count accepted as input: every
+#: integer up to 2**53 converts to a float exactly, and the models do
+#: their arithmetic in floats.
+MAX_COUNT = 2**53
+
+
+def above_max_count(name: str, value: int) -> str | None:
+    """The problem with a count above MAX_COUNT, or None if it is within."""
+    if value > MAX_COUNT:
+        return f"{name} must be <= {MAX_COUNT}, got {value}"
+    return None
 
 
 class DefectLabError(Exception):

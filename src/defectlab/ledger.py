@@ -270,6 +270,8 @@ def _load_json(text: str, what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{what} nests too deeply to decode") from None
 
 
 def _check_keys(entry: object, keys: frozenset[str]) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, above_max_count
 
 #: Expected residual defects below which a product is signed off.
 SIGNOFF_THRESHOLD = 0.5
@@ -35,6 +35,10 @@ MAX_REVISIONS = 100_000
 #: Review-fix cycle cap for one Monte Carlo trial; trials that hit it
 #: are reported as censored.
 MC_CYCLE_CAP = 1000
+
+#: Monte Carlo trials drawn together from one seed-derived stream.
+#: Bounds the simulator's memory whatever the trial count.
+MC_BLOCK_TRIALS = 4096
 
 #: Axes of the published reference grid, as fractions.
 DEFAULT_INJECTION_RATES = (0.03, 0.04, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30)
@@ -76,6 +80,13 @@ def _check_fraction(name: str, value: float, problems: list[str]) -> None:
         problems.append(f"{name} must be within [0, 1], got {value}")
 
 
+def _check_units(units: int, problems: list[str]) -> None:
+    if units < 1:
+        problems.append(f"units must be >= 1, got {units}")
+    elif problem := above_max_count("units", units):
+        problems.append(problem)
+
+
 @dataclass(frozen=True)
 class ProcessParams:
     """Inputs of the revision recurrence.
@@ -93,8 +104,7 @@ class ProcessParams:
 
     def __post_init__(self) -> None:
         problems: list[str] = []
-        if self.units < 1:
-            problems.append(f"units must be >= 1, got {self.units}")
+        _check_units(self.units, problems)
         _check_fraction("injection_rate", self.injection_rate, problems)
         _check_fraction("removal_efficiency", self.removal_efficiency, problems)
         if not math.isfinite(self.threshold) or self.threshold <= 0:
@@ -178,12 +188,11 @@ class McOutcome:
 
 def initial_defects(units: int, injection_rate: float) -> float:
     """Expected defects planted by the initial build: units x rate."""
-    if units < 1:
-        raise ValidationError(f"units must be >= 1, got {units}")
     problems: list[str] = []
+    _check_units(units, problems)
     _check_fraction("injection_rate", injection_rate, problems)
     if problems:
-        raise ValidationError("invalid injection rate", problems)
+        raise ValidationError("invalid build", problems)
     return units * injection_rate
 
 
@@ -287,8 +296,7 @@ def revision_table(
         _check_fraction("injection_rate", rate, problems)
     for rate in dres:
         _check_fraction("removal_efficiency", rate, problems)
-    if units < 1:
-        problems.append(f"units must be >= 1, got {units}")
+    _check_units(units, problems)
     if not math.isfinite(threshold) or threshold <= 0:
         problems.append(f"threshold must be positive, got {threshold}")
     if problems:
@@ -391,30 +399,37 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
     review detects each defect independently with probability e; each
     fix re-injects with probability r.  Sign-off when no defects
     remain.  Revisions count the build plus every cycle that changed
-    something; reviews that find nothing cost no revision.  Each trial
-    is drawn from its own seed-derived substream, so results are
-    reproducible and trials could run in any order.
+    something; reviews that find nothing cost no revision, but count
+    toward MC_CYCLE_CAP.  Trials run in blocks of MC_BLOCK_TRIALS, and
+    each block draws from its own stream derived from the seed and the
+    index of the block's first trial, so a fixed (seed, trials)
+    reproduces exactly and memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    tallies: dict[int, int] = {}
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    # A trial's revision count lies in 1..1 + MC_CYCLE_CAP.
+    tallies = np.zeros(MC_CYCLE_CAP + 2, dtype=np.int64)
     censored = 0
-    for trial in range(trials):
+    for trial in range(0, trials, MC_BLOCK_TRIALS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        remaining = int(rng.binomial(params.units, params.injection_rate))
-        revisions = 1
+        size = min(MC_BLOCK_TRIALS, trials - trial)
+        remaining = rng.binomial(params.units, params.injection_rate, size=size)
+        revisions = np.ones(size, dtype=np.int64)
+        active = np.flatnonzero(remaining)
         cycles = 0
-        while remaining > 0 and cycles < MC_CYCLE_CAP:
+        while active.size and cycles < MC_CYCLE_CAP:
             cycles += 1
-            found = int(rng.binomial(remaining, params.removal_efficiency))
-            if found == 0:
-                continue
-            remaining += int(rng.binomial(found, params.injection_rate)) - found
-            revisions += 1
-        if remaining > 0:
-            censored += 1
-        tallies[revisions] = tallies.get(revisions, 0) + 1
-    histogram = dict(sorted(tallies.items()))
+            left = remaining[active]
+            found = rng.binomial(left, params.removal_efficiency)
+            left += rng.binomial(found, params.injection_rate) - found
+            remaining[active] = left
+            revisions[active] += found > 0
+            active = active[left > 0]
+        censored += active.size
+        tallies += np.bincount(revisions, minlength=tallies.size)
+    histogram = {int(k): int(tallies[k]) for k in np.flatnonzero(tallies)}
     mean = sum(k * v for k, v in histogram.items()) / trials
     return McOutcome(
         trials=trials, seed=seed, mean_revisions=mean, histogram=histogram, censored=censored

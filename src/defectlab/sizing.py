@@ -12,7 +12,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, above_max_count
 from .ledger import read_csv_table
 
 #: Intercept of the default linear model, in issues.
@@ -74,10 +74,11 @@ class SizePoint:
     issues: int
 
     def __post_init__(self) -> None:
-        if self.uf <= 0:
-            raise ValidationError(f"uf must be positive, got {self.uf}")
+        _check_uf(self.uf)
         if self.issues < 0:
             raise ValidationError(f"issues must be >= 0, got {self.issues}")
+        if problem := above_max_count("issues", self.issues):
+            raise ValidationError(problem)
 
 
 DEFAULT_LINEAR_MODEL = LinearSizeModel(
@@ -89,6 +90,8 @@ DEFAULT_SQRT_MODEL = SqrtSizeModel(coefficient=DEFAULT_SQRT_COEFFICIENT)
 def _check_uf(uf: int) -> None:
     if uf <= 0:
         raise ValidationError(f"uf must be positive, got {uf}")
+    if problem := above_max_count("uf", uf):
+        raise ValidationError(problem)
 
 
 def linear_estimate(uf: int, model: LinearSizeModel = DEFAULT_LINEAR_MODEL) -> float:

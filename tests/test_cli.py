@@ -407,6 +407,9 @@ class TestGrammar:
 
 NOT_UTF8 = b"\xff\xfe"
 LONG_FIELD = "x" * 140_000
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+#: A 401-digit count, beyond float range (about 1.8e308).
+HUGE = "9" * 401
 PRODUCTS = '[{"product_id":"m1","unique_formulas":10}]'
 
 
@@ -473,6 +476,34 @@ CONTRACT_CASES = {
     ],
     "ledger defect with an unknown key": lambda t: [
         "metrics", "--ledger", _ledger(t, defect={"colour": "red"}),
+    ],
+    "deeply nested JSON, ingest --products": lambda t: _ingest(t, DEFECT_HEADER + "\n", DEEP_JSON),
+    "deeply nested JSON, metrics --ledger": lambda t: [
+        "metrics", "--ledger", _file(t, "deep.json", DEEP_JSON),
+    ],
+    "deeply nested JSON, report --ledger": lambda t: [
+        "report", "--ledger", _file(t, "deep.json", DEEP_JSON), "--svg", str(t / "out.svg"),
+    ],
+    "forecast --seed -1": lambda t: [
+        "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
+        "--monte-carlo", "--trials", "10", "--seed", "-1",
+    ],
+    "forecast --units beyond float range": lambda t: [
+        "forecast", "--units", HUGE, "--dir", "0.07", "--dre", "0.75",
+    ],
+    "forecast --table --units beyond float range": lambda t: [
+        "forecast", "--units", HUGE, "--table",
+    ],
+    "forecast --monte-carlo --units beyond int64": lambda t: [
+        "forecast", "--units", str(10**20), "--dir", "0.07", "--dre", "0.75",
+        "--monte-carlo", "--trials", "10", "--seed", "1",
+    ],
+    "estimate --uf beyond float range": lambda t: ["estimate", "--uf", HUGE],
+    "estimate --fit, uf beyond float range": lambda t: [
+        "estimate", "--fit", _file(t, "scatter.csv", f"uf,issues\n{HUGE},3\n10,2\n"),
+    ],
+    "estimate --fit, issues beyond float range": lambda t: [
+        "estimate", "--fit", _file(t, "scatter.csv", f"uf,issues\n100,{HUGE}\n10,2\n"),
     ],
 }
 

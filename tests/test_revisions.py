@@ -24,9 +24,11 @@ from defectlab import (
     revisions_to_signoff,
     simulate_monte_carlo,
 )
+from defectlab.errors import MAX_COUNT
 from defectlab.revisions import (
     DEFAULT_INJECTION_RATES,
     DEFAULT_REMOVAL_EFFICIENCIES,
+    MC_BLOCK_TRIALS,
     PUBLISHED_GRID_UNITS,
     PUBLISHED_REVISIONS,
     SIGNOFF_THRESHOLD,
@@ -52,6 +54,15 @@ class TestProcessParams:
     def test_units_below_one_rejected(self):
         with pytest.raises(ValidationError, match="units"):
             ProcessParams(units=0, injection_rate=0.2, removal_efficiency=0.5)
+
+    def test_units_above_the_count_ceiling_rejected(self):
+        ProcessParams(units=MAX_COUNT, injection_rate=0.2, removal_efficiency=0.5)
+        with pytest.raises(ValidationError, match="units must be <="):
+            ProcessParams(units=MAX_COUNT + 1, injection_rate=0.2, removal_efficiency=0.5)
+        with pytest.raises(ValidationError, match="units must be <="):
+            initial_defects(MAX_COUNT + 1, 0.2)
+        with pytest.raises(ValidationError, match="units must be <="):
+            revision_table(10**400)
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValidationError, match="threshold"):
@@ -318,6 +329,42 @@ class TestMonteCarlo:
     def test_trials_below_one_rejected(self):
         with pytest.raises(ValidationError, match="trials"):
             simulate_monte_carlo(AUDITED, trials=0, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            simulate_monte_carlo(AUDITED, trials=10, seed=-1)
+
+    def test_single_trial(self):
+        outcome = simulate_monte_carlo(AUDITED, trials=1, seed=4)
+        assert sum(outcome.histogram.values()) == 1
+        assert outcome == simulate_monte_carlo(AUDITED, trials=1, seed=4)
+
+    @pytest.mark.parametrize(
+        "trials",
+        [MC_BLOCK_TRIALS - 1, MC_BLOCK_TRIALS, MC_BLOCK_TRIALS + 1, 2 * MC_BLOCK_TRIALS + 1],
+    )
+    def test_trials_across_block_boundaries(self, trials):
+        outcome = simulate_monte_carlo(AUDITED, trials=trials, seed=6)
+        assert sum(outcome.histogram.values()) == trials
+        assert outcome == simulate_monte_carlo(AUDITED, trials=trials, seed=6)
+
+    def test_each_block_has_its_own_stream(self):
+        # The first block of B + 1 trials replays the whole B-trial run,
+        # so the two histograms differ by the one trial of block 1.
+        full = simulate_monte_carlo(AUDITED, trials=MC_BLOCK_TRIALS, seed=6).histogram
+        more = simulate_monte_carlo(AUDITED, trials=MC_BLOCK_TRIALS + 1, seed=6).histogram
+        diff = [more.get(k, 0) - full.get(k, 0) for k in more.keys() | full.keys()]
+        assert [d for d in diff if d] == [1]
+
+    def test_capped_trials_are_censored_at_their_revision_count(self):
+        # Nothing is ever found, so every trial runs all MC_CYCLE_CAP
+        # cycles with its defects (P(no defect built) = 2**-50) and ends
+        # censored at the build's single revision, in both blocks.
+        params = ProcessParams(units=50, injection_rate=0.5, removal_efficiency=0.0)
+        trials = MC_BLOCK_TRIALS + 1
+        outcome = simulate_monte_carlo(params, trials=trials, seed=3)
+        assert outcome.histogram == {1: trials}
+        assert outcome.censored == trials
 
     def test_outcome_type_rejects_inconsistent_histogram(self):
         with pytest.raises(ValidationError, match="histogram"):

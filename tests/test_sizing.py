@@ -22,6 +22,7 @@ from defectlab import (
     residual_sum_of_squares,
     sqrt_estimate,
 )
+from defectlab.errors import MAX_COUNT
 from defectlab.sizing import (
     DEFAULT_LINEAR_INTERCEPT,
     DEFAULT_LINEAR_MODEL,
@@ -89,6 +90,17 @@ class TestModelTypes:
             SizePoint(uf=0, issues=3)
         with pytest.raises(ValidationError, match="issues"):
             SizePoint(uf=10, issues=-1)
+
+    def test_counts_above_the_ceiling_rejected(self):
+        SizePoint(uf=MAX_COUNT, issues=MAX_COUNT)
+        with pytest.raises(ValidationError, match="uf must be <="):
+            SizePoint(uf=MAX_COUNT + 1, issues=3)
+        with pytest.raises(ValidationError, match="issues must be <="):
+            SizePoint(uf=10, issues=MAX_COUNT + 1)
+        with pytest.raises(ValidationError, match="uf must be <="):
+            linear_estimate(MAX_COUNT + 1)
+        with pytest.raises(ValidationError, match="uf must be <="):
+            sqrt_estimate(MAX_COUNT + 1)
 
 
 class TestFitLinear:
