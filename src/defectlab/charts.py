@@ -1,4 +1,5 @@
-"""Static SVG charts: arrival bars, forecast lines, size scatters.
+"""Static SVG chart of defect arrivals: one bar per bucket, with an
+optional fitted-curve overlay (what ``report`` writes).
 
 Hand-rolled SVG strings; every document is self-contained (no
 scripts, fonts, or external references) so output is diffable and
@@ -17,10 +18,7 @@ HEIGHT = 400
 LEFT, RIGHT, TOP, BOTTOM = 64, 20, 36, 48
 
 BAR_FILL = "#4a7db5"
-LINE_STROKE = "#2d6a4f"
 OVERLAY_STROKE = "#c0392b"
-POINT_FILL = "#2d6a4f"
-CURVE_PALETTE = ("#c0392b", "#7b2d8b", "#b8860b")
 
 
 def _num(value: float) -> str:
@@ -112,54 +110,4 @@ def arrival_chart(
         )
     if fitted:
         plot.polyline([(i + 0.5, f) for i, f in enumerate(fitted)], OVERLAY_STROKE, "fit")
-    return plot.render()
-
-
-def line_chart(
-    values: Sequence[float],
-    title: str = "Expected defects by revision",
-    x_label: str = "revision",
-    y_label: str = "expected defects",
-) -> str:
-    """Polyline over an index axis, one vertex and one mark per value."""
-    if not values:
-        raise ValidationError("line chart needs at least one value")
-    plot = _Plot(float(max(len(values) - 1, 1)), float(max(values)), title, x_label, y_label)
-    plot.polyline(list(enumerate(values)), LINE_STROKE, "series")
-    for i, v in enumerate(values):
-        plot.elements.append(
-            f'<circle class="vertex" cx="{_num(plot.x(i))}" cy="{_num(plot.y(v))}" '
-            f'r="3" fill="{LINE_STROKE}"/>'
-        )
-    return plot.render()
-
-
-def scatter_chart(
-    points: Sequence[tuple[float, float]],
-    curves: Sequence[tuple[str, Sequence[tuple[float, float]]]] = (),
-    title: str = "Issues vs size",
-    x_label: str = "unique formulas",
-    y_label: str = "issues",
-) -> str:
-    """Scatter marks plus optional labelled fitted curves."""
-    if not points:
-        raise ValidationError("scatter chart needs at least one point")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    for _, curve in curves:
-        xs.extend(c[0] for c in curve)
-        ys.extend(c[1] for c in curve)
-    plot = _Plot(max(xs) * 1.05, max(ys) * 1.05, title, x_label, y_label)
-    for index, (label, curve) in enumerate(curves):
-        stroke = CURVE_PALETTE[index % len(CURVE_PALETTE)]
-        plot.polyline(curve, stroke, "curve")
-        plot.elements.append(
-            f'<text x="{WIDTH - RIGHT - 8}" y="{TOP + 16 + 14 * index}" text-anchor="end" '
-            f'font-size="11" fill="{stroke}">{escape(label)}</text>'
-        )
-    for px, py in points:
-        plot.elements.append(
-            f'<circle class="point" cx="{_num(plot.x(px))}" cy="{_num(plot.y(py))}" '
-            f'r="4" fill="{POINT_FILL}" fill-opacity="0.75"/>'
-        )
     return plot.render()

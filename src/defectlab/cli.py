@@ -277,7 +277,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     fit_note = None
     if len(series.counts) >= 3:
         try:
-            fit = rayleigh.fit_arrival(series)
+            fit = rayleigh.fit_arrival(series.counts)
             fitted = rayleigh.expected_bucket_counts(fit.k_total, fit.sigma, len(series.counts))
             fit_payload = {
                 "k_total": fit.k_total,

@@ -21,7 +21,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import TypeVar
 
-from .errors import ValidationError
+from .errors import ValidationError, above_max_count
 
 T = TypeVar("T")
 E = TypeVar("E", bound=Enum)
@@ -206,10 +206,6 @@ class ArrivalSeries:
         if any(c < 0 for c in self.counts):
             raise ValidationError("arrival counts must be >= 0")
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def read_csv_table(
     text: str, columns: tuple[str, ...], what: str, decode: Callable[[list[str]], T]
@@ -272,6 +268,8 @@ def _load_json(text: str, what: str) -> object:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{what} nests too deeply to decode") from None
+    except ValueError:  # an integer literal past Python's digit limit
+        raise ValidationError(f"{what} holds an integer literal too long to decode") from None
 
 
 def _check_keys(entry: object, keys: frozenset[str]) -> None:
@@ -419,6 +417,8 @@ def _series_row(fields: list[str]) -> tuple[float, int]:
         raise ValidationError(f"count must be an integer, got {raw_count!r}") from None
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
+    if problem := above_max_count("count", count):
+        raise ValidationError(problem)
     return start_days, count
 
 
@@ -449,18 +449,26 @@ def parse_series(text: str) -> tuple[list[int], float | None]:
     return counts, width
 
 
+def _size(entry: dict, key: str, kinds: tuple[type, ...], label: str) -> int | float | None:
+    """A product size field, with integers held to the count ceiling."""
+    value = _require(entry, key, kinds, label)
+    if isinstance(value, int) and (problem := above_max_count(key, value)):
+        raise ValidationError(problem)
+    return value
+
+
 def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
     """Decode one product entry; ``seen`` holds the ids decoded so far."""
     _check_keys(entry, _PRODUCT_KEYS)
     product_id = _require(entry, "product_id", (str,), "a string")
     if product_id is None:
         raise ValidationError("product_id is required")
-    kloc = _require(entry, "kloc", (int, float), "a number")
+    kloc = _size(entry, "kloc", (int, float), "a number")
     profile = ProductProfile(
         product_id=product_id,
-        unique_formulas=_require(entry, "unique_formulas", (int,), "an integer"),
+        unique_formulas=_size(entry, "unique_formulas", (int,), "an integer"),
         kloc=None if kloc is None else float(kloc),
-        function_points=_require(entry, "function_points", (int,), "an integer"),
+        function_points=_size(entry, "function_points", (int,), "an integer"),
         description=_require(entry, "description", (str,), "a string") or "",
     )
     if profile.product_id in seen:

@@ -15,7 +15,6 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from enum import Enum
 
 from .errors import ValidationError
 from .ledger import DefectRecord, ProductProfile, Status
@@ -40,14 +39,6 @@ INJECTION_RATE_BASIS = (
 
 #: Default trailing window for the removal rate in a summary.
 DEFAULT_RATE_WINDOW = timedelta(days=7)
-
-
-class SizeUnit(str, Enum):
-    """Denominator unit for defect density."""
-
-    PER_UF = "per_uf"
-    PER_KLOC = "per_kloc"
-    PER_FP = "per_fp"
 
 
 @dataclass(frozen=True)
@@ -82,33 +73,13 @@ class MetricsSummary:
             raise ValidationError(f"invalid metrics summary for {self.product_id!r}", problems)
 
 
-def defect_density(defects: int, size: float, unit: SizeUnit | str) -> float:
+def defect_density(defects: int, size: float) -> float:
     """Defects per size unit (unique formulas, KLOC, or function points)."""
-    unit = SizeUnit(unit)
     if defects < 0:
         raise ValidationError(f"defects must be >= 0, got {defects}")
     if not math.isfinite(size) or size <= 0:
         raise ValidationError(f"size must be positive, got {size}")
     return defects / size
-
-
-def injection_rate(defects_injected: int, units_of_work: int) -> float:
-    """Fraction of produced units of work that are defective.
-
-    A result above 1 contradicts the definition (more defective units
-    than units) and is rejected rather than clamped.
-    """
-    if units_of_work <= 0:
-        raise ValidationError(f"units_of_work must be positive, got {units_of_work}")
-    if defects_injected < 0:
-        raise ValidationError(f"defects_injected must be >= 0, got {defects_injected}")
-    rate = defects_injected / units_of_work
-    if rate > 1.0:
-        raise ValidationError(
-            f"injection rate {rate:.4g} exceeds 1: "
-            f"{defects_injected} defects against {units_of_work} units of work"
-        )
-    return rate
 
 
 def removal_efficiency(removed_by_process: int, total_present: int) -> float:
@@ -176,11 +147,11 @@ def summarize(
     density_uf = None
     rate_injected = None
     if profile.unique_formulas is not None:
-        density_uf = defect_density(count, profile.unique_formulas, SizeUnit.PER_UF)
+        density_uf = defect_density(count, profile.unique_formulas)
         rate_injected = density_uf if density_uf <= 1.0 else None
     density_kloc = None
     if profile.kloc is not None:
-        density_kloc = defect_density(count, profile.kloc, SizeUnit.PER_KLOC)
+        density_kloc = defect_density(count, profile.kloc)
     fixed = sum(1 for r in records if r.status is Status.FIXED)
     return MetricsSummary(
         product_id=profile.product_id,

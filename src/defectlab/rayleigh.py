@@ -6,7 +6,9 @@ K * (1 - exp(-t^2 / (2*sigma^2))).  The discovery rate peaks at
 t = sigma, which is also the cumulative curve's inflection point, and
 about 39.35% of lifetime defects have been found by then.  Fitting K
 and sigma to early arrival data projects the lifetime total and when
-the remaining count falls low enough to release.
+the remaining count falls low enough to release.  The fit takes plain
+per-bucket counts, whether from a ledger's arrival series or from a
+series file.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import NonConvergenceError, ValidationError
-from .ledger import ArrivalSeries
 
 #: Fraction of lifetime defects discovered by t = sigma: 1 - e^(-1/2).
 PEAK_FRACTION = 1.0 - math.exp(-0.5)
@@ -29,6 +30,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SIGMA_FLOOR = 0.1
 SIGMA_SPAN_FACTOR = 3.0
 
+#: Relative width at which the sigma search stops.
 DEFAULT_REL_TOL = 1e-6
 
 
@@ -93,11 +95,8 @@ def _sse_at(sigma: float, cumulative: Sequence[float], edges: Sequence[float]) -
     return sse, k
 
 
-def fit_arrival(
-    series: ArrivalSeries | Sequence[float],
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> RayleighFit:
-    """Least-squares Rayleigh fit to an arrival series.
+def fit_arrival(counts: Sequence[float]) -> RayleighFit:
+    """Least-squares Rayleigh fit to per-bucket counts (possibly fractional).
 
     Works on the cumulative counts evaluated at bucket right-edges
     (bucket i covers (i, i+1] in bucket units): cumulative data is
@@ -107,19 +106,14 @@ def fit_arrival(
     peak must lie strictly inside that interval; a search that
     converges onto either end is reported as non-convergence rather
     than returned as a pretend-optimum.
-
-    Accepts a plain sequence of per-bucket counts (possibly
-    fractional) in place of an ArrivalSeries.
     """
-    counts = list(series.counts) if isinstance(series, ArrivalSeries) else [float(c) for c in series]
+    counts = [float(c) for c in counts]
     if len(counts) < 3:
         raise ValidationError(f"fit needs at least 3 buckets, got {len(counts)}")
     if any(not math.isfinite(c) or c < 0 for c in counts):
         raise ValidationError("bucket counts must be finite and >= 0")
     if not any(counts):
         raise ValidationError("fit needs at least one non-zero bucket")
-    if not 0 < rel_tol < 1:
-        raise ValidationError(f"rel_tol must be in (0, 1), got {rel_tol}")
 
     cumulative = list(itertools.accumulate(counts))
     edges = [float(i + 1) for i in range(len(counts))]
@@ -130,7 +124,7 @@ def fit_arrival(
     x2 = a + GOLDEN * (b - a)
     f1, _ = _sse_at(x1, cumulative, edges)
     f2, _ = _sse_at(x2, cumulative, edges)
-    while (b - a) > rel_tol * (abs(a) + abs(b)) / 2.0:
+    while (b - a) > DEFAULT_REL_TOL * (abs(a) + abs(b)) / 2.0:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -141,12 +135,12 @@ def fit_arrival(
             f2, _ = _sse_at(x2, cumulative, edges)
     sigma = (a + b) / 2.0
 
-    if sigma - lo <= 2.0 * rel_tol * max(1.0, lo):
+    if sigma - lo <= 2.0 * DEFAULT_REL_TOL * max(1.0, lo):
         raise NonConvergenceError(
             f"sigma search collapsed onto the lower boundary {lo}; the data "
             f"peak too early for an interior fit"
         )
-    if hi - sigma <= 2.0 * rel_tol * hi:
+    if hi - sigma <= 2.0 * DEFAULT_REL_TOL * hi:
         raise NonConvergenceError(
             f"sigma search collapsed onto the upper boundary {hi:g}; the data "
             f"show no interior peak within the observed span"

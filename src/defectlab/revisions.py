@@ -10,8 +10,9 @@ zero).  Defect arithmetic stays fractional throughout; rounding at
 each step would create absorbing states and non-monotone artifacts.
 
 A Monte Carlo companion replays the same cycle with integer defects
-and Bernoulli detection, and an inverse estimator recovers the
-effective removal efficiency implied by an observed revision count.
+and Bernoulli detection, and signs a trial off at the same threshold.
+An inverse estimator recovers the effective removal efficiency implied
+by an observed revision count.
 """
 
 from __future__ import annotations
@@ -112,11 +113,6 @@ class ProcessParams:
         if problems:
             raise ValidationError("invalid process parameters", problems)
 
-    @property
-    def decay_factor(self) -> float:
-        """Multiplier applied to expected defects by one review-fix cycle."""
-        return 1.0 - self.removal_efficiency * (1.0 - self.injection_rate)
-
 
 @dataclass(frozen=True)
 class RevisionTrajectory:
@@ -194,22 +190,6 @@ def initial_defects(units: int, injection_rate: float) -> float:
     if problems:
         raise ValidationError("invalid build", problems)
     return units * injection_rate
-
-
-def revision_step(defects: float, injection_rate: float, removal_efficiency: float) -> float:
-    """Expected defects after one review-and-fix cycle.
-
-    A review finds e*D defects; fixing them re-injects at rate r, so
-    D becomes D - e*D + r*e*D = D * (1 - e*(1 - r)).
-    """
-    if not math.isfinite(defects) or defects < 0:
-        raise ValidationError(f"defects must be >= 0, got {defects}")
-    problems: list[str] = []
-    _check_fraction("injection_rate", injection_rate, problems)
-    _check_fraction("removal_efficiency", removal_efficiency, problems)
-    if problems:
-        raise ValidationError("invalid rates", problems)
-    return defects * (1.0 - removal_efficiency * (1.0 - injection_rate))
 
 
 def _decay_states(
@@ -397,8 +377,9 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
 
     Per trial: the build injects Binomial(units, r) defects; each
     review detects each defect independently with probability e; each
-    fix re-injects with probability r.  Sign-off when no defects
-    remain.  Revisions count the build plus every cycle that changed
+    fix re-injects with probability r.  Sign-off once fewer than
+    ``params.threshold`` defects remain (at the default of 0.5, none
+    remain).  Revisions count the build plus every cycle that changed
     something; reviews that find nothing cost no revision, but count
     toward MC_CYCLE_CAP.  Trials run in blocks of MC_BLOCK_TRIALS, and
     each block draws from its own stream derived from the seed and the
@@ -417,7 +398,7 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
         size = min(MC_BLOCK_TRIALS, trials - trial)
         remaining = rng.binomial(params.units, params.injection_rate, size=size)
         revisions = np.ones(size, dtype=np.int64)
-        active = np.flatnonzero(remaining)
+        active = np.flatnonzero(remaining >= params.threshold)
         cycles = 0
         while active.size and cycles < MC_CYCLE_CAP:
             cycles += 1
@@ -426,7 +407,7 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
             left += rng.binomial(found, params.injection_rate) - found
             remaining[active] = left
             revisions[active] += found > 0
-            active = active[left > 0]
+            active = active[left >= params.threshold]
         censored += active.size
         tallies += np.bincount(revisions, minlength=tallies.size)
     histogram = {int(k): int(tallies[k]) for k in np.flatnonzero(tallies)}

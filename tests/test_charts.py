@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from defectlab import ValidationError, arrival_chart, line_chart, scatter_chart
+from defectlab import ValidationError, arrival_chart
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -59,74 +59,14 @@ class TestArrivalChart:
         assert "a <b> & c" in titles
 
 
-class TestLineChart:
-    def test_series_polyline_and_vertices(self):
-        values = [152.74, 46.2, 14.0, 4.2, 1.3, 0.39]
-        root = _root(line_chart(values))
-        (series,) = _by_class(root, "polyline", "series")
-        assert len(series.get("points").split()) == 6
-        assert len(_by_class(root, "circle", "vertex")) == 6
-
-    def test_vertices_descend_with_the_values(self):
-        root = _root(line_chart([10.0, 5.0, 1.0]))
-        ys = [float(c.get("cy")) for c in _by_class(root, "circle", "vertex")]
-        assert ys[0] < ys[1] < ys[2]  # SVG y grows downward
-
-    def test_single_value_is_legal(self):
-        root = _root(line_chart([42.0]))
-        assert len(_by_class(root, "circle", "vertex")) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError, match="at least one value"):
-            line_chart([])
-
-    def test_custom_labels_appear(self):
-        root = _root(line_chart([1.0, 2.0], x_label="week", y_label="arrivals"))
-        texts = [e.text for e in root.iter(f"{SVG}text")]
-        assert "week" in texts
-        assert "arrivals" in texts
-
-
-class TestScatterChart:
-    def test_one_mark_per_point(self):
-        root = _root(scatter_chart([(100.0, 12.0)]))
-        assert len(_by_class(root, "circle", "point")) == 1
-
-    def test_curves_are_drawn_and_labelled(self):
-        points = [(100.0, 12.0), (400.0, 30.0)]
-        curves = [
-            ("linear", [(0.0, 62.0), (400.0, 78.3)]),
-            ("sqrt", [(1.0, 2.6), (400.0, 52.0)]),
-        ]
-        root = _root(scatter_chart(points, curves=curves))
-        assert len(_by_class(root, "polyline", "curve")) == 2
-        texts = [e.text for e in root.iter(f"{SVG}text")]
-        assert "linear" in texts
-        assert "sqrt" in texts
-
-    def test_axes_cover_the_curves_too(self):
-        # A curve taller than every point must stretch the y axis, so no
-        # rendered y coordinate may poke above the plotting frame.
-        root = _root(
-            scatter_chart([(10.0, 1.0)], curves=[("c", [(0.0, 100.0), (10.0, 90.0)])])
-        )
-        (curve,) = _by_class(root, "polyline", "curve")
-        ys = [float(pair.split(",")[1]) for pair in curve.get("points").split()]
-        assert all(y >= 36 for y in ys)  # TOP margin
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError, match="at least one point"):
-            scatter_chart([])
-
-
 class TestDocumentShape:
     def test_fixed_canvas_and_background(self):
-        root = _root(line_chart([1.0]))
+        root = _root(arrival_chart([1]))
         assert root.get("viewBox") == "0 0 640 400"
         background = next(root.iter(f"{SVG}rect"))
         assert background.get("fill") == "#ffffff"
 
     def test_no_external_references(self):
-        text = scatter_chart([(1.0, 1.0)], curves=[("fit", [(0.0, 0.0), (1.0, 1.0)])])
+        text = arrival_chart([1, 2, 1], fitted=[1.0, 1.5, 1.0])
         assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
         assert "<script" not in text

@@ -411,6 +411,16 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
 #: A 401-digit count, beyond float range (about 1.8e308).
 HUGE = "9" * 401
 PRODUCTS = '[{"product_id":"m1","unique_formulas":10}]'
+#: An integer literal past Python's default limit of 4300 digits.
+LONG_INT = "1" + "0" * 5000
+LONG_INT_LEDGER = (
+    '{"products": [{"product_id": "m1", "unique_formulas": ' + LONG_INT + '}], "defects": []}'
+)
+
+
+def _registry(size: str, value: str = HUGE) -> str:
+    """A one-product registry whose ``size`` is ``value``."""
+    return f'[{{"product_id":"m1","{size}":{value}}}]'
 
 
 def _file(tmp_path, name: str, content: str | bytes) -> str:
@@ -504,6 +514,29 @@ CONTRACT_CASES = {
     ],
     "estimate --fit, issues beyond float range": lambda t: [
         "estimate", "--fit", _file(t, "scatter.csv", f"uf,issues\n100,{HUGE}\n10,2\n"),
+    ],
+    "integer past the digit limit, ingest --products": lambda t: _ingest(
+        t, DEFECT_HEADER + "\n", _registry("unique_formulas", LONG_INT)
+    ),
+    "integer past the digit limit, metrics --ledger": lambda t: [
+        "metrics", "--ledger", _file(t, "ledger.json", LONG_INT_LEDGER),
+    ],
+    "integer past the digit limit, report --ledger": lambda t: [
+        "report", "--ledger", _file(t, "ledger.json", LONG_INT_LEDGER), "--svg", str(t / "out.svg"),
+    ],
+    "registry unique_formulas beyond float range": lambda t: _ingest(
+        t, DEFECT_HEADER + "\n", _registry("unique_formulas")
+    ),
+    "registry function_points beyond float range": lambda t: _ingest(
+        t, DEFECT_HEADER + "\n", _registry("function_points")
+    ),
+    "registry kloc beyond float range": lambda t: _ingest(t, DEFECT_HEADER + "\n", _registry("kloc")),
+    "ledger kloc beyond float range, metrics --ledger": lambda t: [
+        "metrics", "--ledger", _ledger(t, product={"kloc": int(HUGE)}),
+    ],
+    "series count beyond float range, fit-arrival --series": lambda t: [
+        "fit-arrival", "--series",
+        _file(t, "series.csv", f"bucket_start,count\n0,1\n1,{HUGE}\n2,3\n"),
     ],
 }
 

@@ -246,7 +246,6 @@ class TestArrivalSeries:
     def test_no_records_gives_empty_counts(self):
         series = arrival_series([], timedelta(days=7))
         assert series.counts == ()
-        assert series.total == 0
 
     def test_day_0_0_8_with_weekly_buckets(self):
         records = [

@@ -15,10 +15,8 @@ from conftest import EPOCH, make_record
 from defectlab import (
     MetricsSummary,
     ProductProfile,
-    SizeUnit,
     ValidationError,
     defect_density,
-    injection_rate,
     removal_efficiency,
     removal_rate,
     summaries_to_csv,
@@ -30,47 +28,37 @@ from defectlab.metrics import INJECTION_RATE_BASIS, SUMMARY_FIELDS, summary_to_d
 
 class TestDefectDensity:
     def test_per_unique_formula(self):
-        assert defect_density(151, 2182, SizeUnit.PER_UF) == pytest.approx(0.0692, abs=5e-5)
+        assert defect_density(151, 2182) == pytest.approx(0.0692, abs=5e-5)
 
     def test_zero_defects_is_zero_density(self):
-        assert defect_density(0, 2182, SizeUnit.PER_UF) == 0.0
+        assert defect_density(0, 2182) == 0.0
 
     def test_per_kloc(self):
-        assert defect_density(45, 3.0, SizeUnit.PER_KLOC) == 15.0
-
-    def test_string_unit_accepted(self):
-        assert defect_density(45, 3.0, "per_kloc") == 15.0
-
-    def test_unknown_unit_rejected(self):
-        with pytest.raises(ValueError):
-            defect_density(45, 3.0, "per_furlong")
+        assert defect_density(45, 3.0) == 15.0
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValidationError, match="size must be positive"):
-            defect_density(45, 0.0, SizeUnit.PER_UF)
+            defect_density(45, 0.0)
 
     def test_negative_defects_rejected(self):
         with pytest.raises(ValidationError, match=">= 0"):
-            defect_density(-1, 10.0, SizeUnit.PER_UF)
+            defect_density(-1, 10.0)
 
 
 class TestInjectionRate:
-    def test_average_audited_model(self):
-        assert injection_rate(151, 2182) == pytest.approx(0.0692, abs=5e-5)
+    """The injection rate a summary reports: recorded defects per unique formula."""
 
-    def test_zero_defects(self):
-        assert injection_rate(0, 100) == 0.0
+    @staticmethod
+    def _rate(defects: int, formulas: int) -> float | None:
+        profile = ProductProfile(product_id="m1", unique_formulas=formulas)
+        records = [make_record(rid=f"d{i}", found_offset_h=i) for i in range(defects)]
+        return summarize(records, profile).injection_rate
+
+    def test_average_audited_model(self):
+        assert self._rate(151, 2182) == pytest.approx(0.0692, abs=5e-5)
 
     def test_one_in_five(self):
-        assert injection_rate(20, 100) == 0.20
-
-    def test_rate_above_one_rejected(self):
-        with pytest.raises(ValidationError, match="exceeds 1"):
-            injection_rate(101, 100)
-
-    def test_zero_units_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
-            injection_rate(5, 0)
+        assert self._rate(20, 100) == 0.20
 
 
 class TestRemovalEfficiency:
@@ -219,9 +207,9 @@ class TestSummarize:
             for i in range(10)
         ]
         summary = summarize(records, profile, window=timedelta(days=3))
-        assert summary.density_per_uf == defect_density(10, 500, SizeUnit.PER_UF)
-        assert summary.density_per_kloc == defect_density(10, 2.0, SizeUnit.PER_KLOC)
-        assert summary.injection_rate == injection_rate(10, 500)
+        assert summary.density_per_uf == defect_density(10, 500)
+        assert summary.density_per_kloc == defect_density(10, 2.0)
+        assert summary.injection_rate == summary.density_per_uf
         assert summary.removal_efficiency == removal_efficiency(5, 10)
         assert summary.removal_rate == removal_rate(records, timedelta(days=3))
 

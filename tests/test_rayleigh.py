@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import math
-from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EPOCH
 from defectlab import (
-    ArrivalSeries,
     NonConvergenceError,
     RayleighFit,
     ValidationError,
@@ -112,14 +109,6 @@ class TestFitArrival:
         fit = fit_arrival(counts)
         assert fit.k_total == pytest.approx(500.0, rel=0.10)
 
-    def test_accepts_an_arrival_series(self):
-        counts = [round(c) for c in expected_bucket_counts(80.0, 3.0, 9)]
-        series = ArrivalSeries(
-            origin=EPOCH, bucket_width=timedelta(days=7), counts=tuple(counts)
-        )
-        fit = fit_arrival(series)
-        assert fit.k_total == pytest.approx(80.0, rel=0.15)
-
     def test_front_loaded_data_hit_the_lower_boundary(self):
         with pytest.raises(NonConvergenceError, match="lower boundary"):
             fit_arrival([100.0, 0.0, 0.0])
@@ -140,10 +129,6 @@ class TestFitArrival:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError, match=">= 0"):
             fit_arrival([5.0, -1.0, 2.0])
-
-    def test_bad_rel_tol_rejected(self):
-        with pytest.raises(ValidationError, match="rel_tol"):
-            fit_arrival([1.0, 2.0, 1.0], rel_tol=0.0)
 
     @given(
         k=st.floats(10.0, 5000.0),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from defectlab import ProcessParams, simulate_monte_carlo
+from defectlab.revisions import SIGNOFF_THRESHOLD
 
 #: Probability mass below which a tail of the build distribution, or
 #: the mass not yet signed off, is dropped.
@@ -36,16 +37,23 @@ def _binomial_pmf(n: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
     )
 
 
-def exact_revision_pmf(units: int, injection_rate: float, removal_efficiency: float) -> list[float]:
+def exact_revision_pmf(
+    units: int,
+    injection_rate: float,
+    removal_efficiency: float,
+    threshold: float = SIGNOFF_THRESHOLD,
+) -> list[float]:
     """P(revisions = k) at index k, ignoring the cycle cap.
 
     A review that finds nothing leaves the chain where it is and costs
     no revision, so the revision count is 1 plus the number of reviews
-    that find something.  From n defects, each defect is found and its
-    fix sticks with probability q = e * (1 - r), so n falls by
-    Binomial(n, q) on net; a net fall of 0 includes the reviews that
-    found nothing, which have probability (1 - e)^n.  Each step of the
-    embedded chain is that fall conditioned on at least one find.
+    that find something before fewer than ``threshold`` defects remain;
+    every state below the threshold absorbs.  From n defects, each
+    defect is found and its fix sticks with probability q = e * (1 - r),
+    so n falls by Binomial(n, q) on net; a net fall of 0 includes the
+    reviews that found nothing, which have probability (1 - e)^n.  Each
+    step of the embedded chain is that fall conditioned on at least one
+    find.
     """
     r, e = injection_rate, removal_efficiency
     build = _binomial_pmf(np.full(units + 1, units), np.arange(units + 1), r)
@@ -61,13 +69,13 @@ def exact_revision_pmf(units: int, injection_rate: float, removal_efficiency: fl
     step[1:] /= (1 - nothing_found[1:])[:, None]
     step[0] = 0.0
 
-    pmf = [0.0, float(build[0])]
-    alive = build.copy()
-    alive[0] = 0.0
+    signed_off = states < threshold
+    pmf = [0.0, float(build[signed_off].sum())]
+    alive = np.where(signed_off, 0.0, build)
     while alive.sum() >= TAIL_MASS:
         alive = alive @ step
-        pmf.append(float(alive[0]))
-        alive[0] = 0.0
+        pmf.append(float(alive[signed_off].sum()))
+        alive[signed_off] = 0.0
     return pmf
 
 
@@ -108,16 +116,23 @@ def test_oracle_matches_the_geometric_closed_form_for_one_unit():
     assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_signs_off_at_build_below_the_threshold():
+    assert exact_revision_pmf(10, 0.5, 0.5, threshold=11) == pytest.approx([0.0, 1.0])
+
+
 @pytest.mark.parametrize(
-    ("injection_rate", "removal_efficiency", "seed"),
-    [(0.07, 0.75, 1), (0.20, 0.30, 2)],
-    ids=["paper-rates", "slow-review"],
+    ("injection_rate", "removal_efficiency", "threshold", "seed"),
+    [(0.07, 0.75, SIGNOFF_THRESHOLD, 1), (0.20, 0.30, SIGNOFF_THRESHOLD, 2), (0.20, 0.30, 20, 3)],
+    ids=["paper-rates", "slow-review", "slow-review-threshold-20"],
 )
-def test_histogram_fits_the_exact_distribution(injection_rate, removal_efficiency, seed):
+def test_histogram_fits_the_exact_distribution(injection_rate, removal_efficiency, threshold, seed):
     params = ProcessParams(
-        units=2182, injection_rate=injection_rate, removal_efficiency=removal_efficiency
+        units=2182,
+        injection_rate=injection_rate,
+        removal_efficiency=removal_efficiency,
+        threshold=threshold,
     )
-    pmf = exact_revision_pmf(params.units, injection_rate, removal_efficiency)
+    pmf = exact_revision_pmf(params.units, injection_rate, removal_efficiency, threshold)
     # Log-factorials near lgamma(2183) ~ 1.5e4 carry absolute rounding
     # of ~3e-12, and so the pmfs built from them carry that relative error.
     assert sum(pmf) == pytest.approx(1.0, abs=1e-9)

@@ -19,7 +19,6 @@ from defectlab import (
     grid_to_json,
     infer_efficiency,
     initial_defects,
-    revision_step,
     revision_table,
     revisions_to_signoff,
     simulate_monte_carlo,
@@ -39,7 +38,8 @@ AUDITED = ProcessParams(units=2182, injection_rate=0.07, removal_efficiency=0.75
 
 class TestProcessParams:
     def test_decay_factor(self):
-        assert AUDITED.decay_factor == pytest.approx(1 - 0.75 * 0.93)
+        states = revisions_to_signoff(AUDITED).expected_defects
+        assert states[1] / states[0] == pytest.approx(1 - 0.75 * 0.93)
 
     def test_rate_endpoints_are_legal(self):
         ProcessParams(units=10, injection_rate=0.0, removal_efficiency=1.0)
@@ -85,18 +85,20 @@ class TestInitialDefects:
 
 
 class TestRevisionStep:
-    def test_perfect_review_leaves_only_reinjection(self):
-        assert revision_step(30.0, 0.03, 1.0) == pytest.approx(0.9)
+    """One review-and-fix cycle, as the forecast applies it."""
 
-    def test_zero_efficiency_changes_nothing(self):
-        assert revision_step(30.0, 0.03, 0.0) == 30.0
+    @staticmethod
+    def _first_step(units: int, injection: float, efficiency: float) -> float:
+        params = ProcessParams(
+            units=units, injection_rate=injection, removal_efficiency=efficiency
+        )
+        return revisions_to_signoff(params).expected_defects[1]
+
+    def test_perfect_review_leaves_only_reinjection(self):
+        assert self._first_step(1000, 0.03, 1.0) == pytest.approx(0.9)
 
     def test_half_efficiency(self):
-        assert revision_step(100.0, 0.20, 0.50) == pytest.approx(60.0)
-
-    def test_negative_defects_rejected(self):
-        with pytest.raises(ValidationError):
-            revision_step(-1.0, 0.1, 0.5)
+        assert self._first_step(500, 0.20, 0.50) == pytest.approx(60.0)
 
 
 class TestRevisionsToSignoff:
@@ -176,7 +178,7 @@ class TestRevisionsToSignoff:
         trajectory = revisions_to_signoff(params)
         assert trajectory.expected_defects[0] == initial_defects(units, injection)
         for earlier, later in zip(trajectory.expected_defects, trajectory.expected_defects[1:]):
-            assert later == revision_step(earlier, injection, efficiency)
+            assert later == earlier * (1.0 - efficiency * (1.0 - injection))
         assert trajectory.expected_defects[-1] < threshold
         for state in trajectory.expected_defects[:-1]:
             assert state >= threshold
@@ -366,6 +368,27 @@ class TestMonteCarlo:
         assert outcome.histogram == {1: trials}
         assert outcome.censored == trials
 
+    def test_threshold_above_any_build_signs_off_at_build(self):
+        # At most 50 defects can be built, so every trial starts below
+        # the threshold; without it, every trial would be censored.
+        params = ProcessParams(
+            units=50, injection_rate=0.5, removal_efficiency=0.0, threshold=51.0
+        )
+        trials = MC_BLOCK_TRIALS + 1
+        outcome = simulate_monte_carlo(params, trials=trials, seed=3)
+        assert outcome.histogram == {1: trials}
+        assert outcome.censored == 0
+
+    def test_higher_threshold_signs_off_sooner(self):
+        # About 153 defects are built and one review leaves about 46, so
+        # at a threshold of 100 the recurrence and the trials need 2.
+        params = ProcessParams(
+            units=2182, injection_rate=0.07, removal_efficiency=0.75, threshold=100.0
+        )
+        assert revisions_to_signoff(params).revisions == 2
+        outcome = simulate_monte_carlo(params, trials=1000, seed=3)
+        assert outcome.mean_revisions == pytest.approx(2.0, abs=0.01)
+
     def test_outcome_type_rejects_inconsistent_histogram(self):
         with pytest.raises(ValidationError, match="histogram"):
             McOutcome(trials=3, seed=1, mean_revisions=2.0, histogram={2: 2})
@@ -382,7 +405,7 @@ class TestInferEfficiency:
         efficiency = infer_efficiency(239.0, revisions=17, injection_rate=0.07)
         defects, revisions = 239.0, 1
         while defects >= SIGNOFF_THRESHOLD:
-            defects = revision_step(defects, 0.07, efficiency)
+            defects *= 1.0 - efficiency * (1.0 - 0.07)
             revisions += 1
         assert revisions <= 17
 
@@ -401,7 +424,7 @@ class TestInferEfficiency:
         def settles(dre: float) -> bool:
             defects, steps = initial, 1
             while defects >= SIGNOFF_THRESHOLD and steps <= revisions:
-                defects = revision_step(defects, injection, dre)
+                defects *= 1.0 - dre * (1.0 - injection)
                 steps += 1
             return defects < SIGNOFF_THRESHOLD and steps <= revisions
 
