@@ -11,12 +11,11 @@ document goes through :func:`read_csv_table`, every defect through
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import TypeVar
@@ -78,6 +77,13 @@ class Status(str, Enum):
     DEFERRED = "deferred"
 
 
+#: Enum members by value, for the record decoder.
+_PHASES = {phase.value: phase for phase in Phase}
+_STATUSES = {status.value: status for status in Status}
+
+_ZERO = timedelta(0)
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO 8601 timestamp that carries an explicit UTC marker.
 
@@ -91,19 +97,29 @@ def parse_timestamp(text: str) -> datetime:
         stamp = datetime.fromisoformat(normalised)
     except ValueError:
         raise ValidationError(f"invalid timestamp {text!r}") from None
+    if stamp.tzinfo is timezone.utc:
+        return stamp
     if stamp.tzinfo is None:
         raise ValidationError(f"timestamp {text!r} must carry a UTC offset")
-    if stamp.utcoffset() != timedelta(0):
+    if stamp.utcoffset() != _ZERO:
         raise ValidationError(f"timestamp {text!r} must be UTC, not a local offset")
     return stamp
 
 
 def format_timestamp(stamp: datetime) -> str:
     """Render a timestamp as ISO 8601 with the ``Z`` designator."""
-    return stamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    if stamp.tzinfo is not timezone.utc:
+        stamp = stamp.astimezone(timezone.utc)
+    # The naive parts format quicker than the aware stamp and its offset.
+    return f"{stamp.date().isoformat()}T{stamp.time().isoformat()}Z"
 
 
-@dataclass(frozen=True)
+def _is_utc(stamp: datetime) -> bool:
+    zone = stamp.tzinfo
+    return zone is timezone.utc or (zone is not None and stamp.utcoffset() == _ZERO)
+
+
+@dataclass(frozen=True, slots=True)
 class DefectRecord:
     """One logged defect.
 
@@ -130,7 +146,7 @@ class DefectRecord:
             problems.append("product_id must be non-empty")
         if self.phase_found is Phase.UNKNOWN:
             problems.append("phase_found may not be 'unknown'")
-        if self.found_at.tzinfo is None or self.found_at.utcoffset() != timedelta(0):
+        if not _is_utc(self.found_at):
             problems.append("found_at must be a UTC timestamp")
         lo, hi = SEVERITY_RANGE
         if not lo <= self.severity <= hi:
@@ -141,7 +157,7 @@ class DefectRecord:
                 f"fixed_at {'present' if self.fixed_at else 'absent'}"
             )
         if self.fixed_at is not None:
-            if self.fixed_at.tzinfo is None or self.fixed_at.utcoffset() != timedelta(0):
+            if not _is_utc(self.fixed_at):
                 problems.append("fixed_at must be a UTC timestamp")
             elif self.fixed_at < self.found_at:
                 problems.append(
@@ -181,7 +197,11 @@ class ProductProfile:
             ("kloc", self.kloc),
             ("function_points", self.function_points),
         ):
-            if value is not None and (not math.isfinite(value) or value <= 0):
+            if value is None:
+                continue
+            if isinstance(value, int) and (problem := above_max_count(name, value)):
+                problems.append(problem)
+            elif value <= 0 or not math.isfinite(value):
                 problems.append(f"{name}: size must be positive, got {value}")
         if problems:
             raise ValidationError(f"invalid product profile {self.product_id!r}", problems)
@@ -283,19 +303,18 @@ def _require(
     entry: dict, key: str, kinds: tuple[type, ...], label: str, required: bool = False
 ) -> object:
     value = entry.get(key)
-    if value is None and not required:
-        return None
+    if type(value) in kinds or (value is None and not required):
+        return value
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValidationError(f"{key} must be {label}, got {value!r}")
     return value
 
 
-@functools.cache  # a pure lookup, made for every enum field of every row
-def _parse_enum(kind: type[E], text: str, column: str) -> E:
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValidationError(f"unknown {column} {text!r}") from None
+def _member(members: dict[str, E], text: str, column: str) -> E:
+    member = members.get(text)
+    if member is None:
+        raise ValidationError(f"unknown {column} {text!r}")
+    return member
 
 
 def _record_from_dict(entry: object) -> DefectRecord:
@@ -315,12 +334,12 @@ def _record_from_dict(entry: object) -> DefectRecord:
     return DefectRecord(
         id=entry["id"],
         product_id=entry["product_id"],
-        phase_injected=_parse_enum(Phase, entry["phase_injected"], "phase_injected"),
-        phase_found=_parse_enum(Phase, entry["phase_found"], "phase_found"),
+        phase_injected=_member(_PHASES, entry["phase_injected"], "phase_injected"),
+        phase_found=_member(_PHASES, entry["phase_found"], "phase_found"),
         found_at=parse_timestamp(entry["found_at"]),
         fixed_at=parse_timestamp(fixed_at) if fixed_at else None,
         severity=_require(entry, "severity", (int,), "an integer", required=True),
-        status=_parse_enum(Status, entry["status"], "status"),
+        status=_member(_STATUSES, entry["status"], "status"),
         fix_changes=_require(entry, "fix_changes", (int,), "an integer or null"),
     )
 
@@ -351,11 +370,18 @@ def _int_or_text(text: str) -> int | str:
 def _csv_entry(fields: list[str]) -> dict:
     """A defect-log row as the ledger object it stands for: empty optional
     cells become null and integer cells become numbers."""
-    entry = dict(zip(DEFECT_CSV_COLUMNS, fields))
-    entry["fixed_at"] = entry["fixed_at"] or None
-    entry["severity"] = _int_or_text(entry["severity"])
-    entry["fix_changes"] = _int_or_text(entry["fix_changes"]) if entry["fix_changes"] else None
-    return entry
+    ident, product, injected, found, found_at, fixed_at, severity, status, changes = fields
+    return {
+        "id": ident,
+        "product_id": product,
+        "phase_injected": injected,
+        "phase_found": found,
+        "found_at": found_at,
+        "fixed_at": fixed_at or None,
+        "severity": _int_or_text(severity),
+        "status": status,
+        "fix_changes": _int_or_text(changes) if changes else None,
+    }
 
 
 def _admit(
@@ -449,28 +475,22 @@ def parse_series(text: str) -> tuple[list[int], float | None]:
     return counts, width
 
 
-def _size(entry: dict, key: str, kinds: tuple[type, ...], label: str) -> int | float | None:
-    """A product size field, with integers held to the count ceiling."""
-    value = _require(entry, key, kinds, label)
-    if isinstance(value, int) and (problem := above_max_count(key, value)):
-        raise ValidationError(problem)
-    return value
-
-
 def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
     """Decode one product entry; ``seen`` holds the ids decoded so far."""
     _check_keys(entry, _PRODUCT_KEYS)
     product_id = _require(entry, "product_id", (str,), "a string")
     if product_id is None:
         raise ValidationError("product_id is required")
-    kloc = _size(entry, "kloc", (int, float), "a number")
+    kloc = _require(entry, "kloc", (int, float), "a number")
     profile = ProductProfile(
         product_id=product_id,
-        unique_formulas=_size(entry, "unique_formulas", (int,), "an integer"),
-        kloc=None if kloc is None else float(kloc),
-        function_points=_size(entry, "function_points", (int,), "an integer"),
+        unique_formulas=_require(entry, "unique_formulas", (int,), "an integer"),
+        kloc=kloc,
+        function_points=_require(entry, "function_points", (int,), "an integer"),
         description=_require(entry, "description", (str,), "a string") or "",
     )
+    if isinstance(kloc, int):  # held to the count ceiling, so exact as a float
+        profile = replace(profile, kloc=float(kloc))
     if profile.product_id in seen:
         raise ValidationError(f"duplicate product_id {profile.product_id!r}")
     seen.add(profile.product_id)

@@ -22,8 +22,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DivergenceError, ValidationError, above_max_count
 
 #: Expected residual defects below which a product is signed off.
@@ -390,6 +388,8 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    import numpy as np  # only the Monte Carlo needs numpy; the other commands start without it
+
     # A trial's revision count lies in 1..1 + MC_CYCLE_CAP.
     tallies = np.zeros(MC_CYCLE_CAP + 2, dtype=np.int64)
     censored = 0

@@ -27,6 +27,7 @@ from defectlab import (
     serialize_defect_log,
     serialize_product_registry,
 )
+from defectlab.errors import MAX_COUNT
 from defectlab.ledger import MAX_BUCKETS, format_timestamp, parse_timestamp
 
 HEADER = "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
@@ -240,6 +241,16 @@ class TestProductRegistry:
             ProductProfile(product_id="m2", kloc=3.5, function_points=40, description="x"),
         ]
         assert parse_product_registry(serialize_product_registry(profiles)) == profiles
+
+    @pytest.mark.parametrize("size", ["unique_formulas", "kloc", "function_points"])
+    def test_integer_size_beyond_float_range_rejected(self, size):
+        with pytest.raises(ValidationError) as err:
+            ProductProfile(product_id="m", **{size: 10**400})
+        assert err.value.diagnostics == (f"{size} must be <= {MAX_COUNT}, got {10**400}",)
+
+    def test_integer_kloc_loads_as_a_float(self):
+        (profile,) = parse_product_registry('[{"product_id":"m1","kloc":3}]')
+        assert type(profile.kloc) is float
 
 
 class TestArrivalSeries:

@@ -1,0 +1,302 @@
+"""The record codec: one decoder for CSV rows and ledger objects, the
+ledger encoder, and the timestamp helpers they share."""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import os
+import tempfile
+from datetime import datetime, timedelta, timezone
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defectlab import (
+    DefectRecord,
+    Phase,
+    ProductProfile,
+    Status,
+    ValidationError,
+    dump_ledger,
+    load_ledger,
+    parse_defect_log,
+)
+from defectlab.cli import EXIT_OK, EXIT_VALIDATION, run
+from defectlab.errors import MAX_COUNT
+from defectlab.ledger import DEFECT_CSV_COLUMNS, format_timestamp
+
+#: One valid fixed defect, as a ledger object.
+BASE = {
+    "id": "d1",
+    "product_id": "m1",
+    "phase_injected": "build",
+    "phase_found": "review",
+    "found_at": "2004-03-01T10:00:00Z",
+    "fixed_at": "2004-03-01T15:00:00Z",
+    "severity": 2,
+    "status": "fixed",
+    "fix_changes": 4,
+}
+PRODUCTS = [{"product_id": "m1", "unique_formulas": 100}]
+DROP = object()
+
+#: Changes to BASE and the diagnostics each form reports, as
+#: (change, ledger-object diagnostics, CSV-row diagnostics); None means
+#: the entry decodes.  Recorded before the decoder was last rewritten.
+PARITY_CASES = {
+    "bool severity": (
+        {"severity": True},
+        ("defects[0]: severity must be an integer, got True",),
+        ("row 1: severity must be an integer, got 'True'",),
+    ),
+    "float fix_changes": (
+        {"fix_changes": 1.5},
+        ("defects[0]: fix_changes must be an integer or null, got 1.5",),
+        ("row 1: fix_changes must be an integer or null, got '1.5'",),
+    ),
+    "integer fixed_at": (
+        {"fixed_at": 5},
+        ("defects[0]: fixed_at must be a string or null, got 5",),
+        ("row 1: invalid timestamp '5'",),
+    ),
+    "unknown status after a bad severity": (
+        {"severity": "high", "status": "lost"},
+        ("defects[0]: severity must be an integer, got 'high'",),
+        ("row 1: severity must be an integer, got 'high'",),
+    ),
+    "bad phase after a bad severity": (
+        {"severity": "high", "phase_found": "sideways"},
+        ("defects[0]: unknown phase_found 'sideways'",),
+        ("row 1: unknown phase_found 'sideways'",),
+    ),
+    "+02:00 stamp": (
+        {"found_at": "2004-03-01T10:00:00+02:00"},
+        ("defects[0]: timestamp '2004-03-01T10:00:00+02:00' must be UTC, not a local offset",),
+        ("row 1: timestamp '2004-03-01T10:00:00+02:00' must be UTC, not a local offset",),
+    ),
+    "naive stamp": (
+        {"found_at": "2004-03-01T10:00:00"},
+        ("defects[0]: timestamp '2004-03-01T10:00:00' must carry a UTC offset",),
+        ("row 1: timestamp '2004-03-01T10:00:00' must carry a UTC offset",),
+    ),
+    "+00:00 suffix": ({"found_at": "2004-03-01T10:00:00+00:00"}, None, None),
+    "lowercase z suffix": ({"found_at": "2004-03-01T10:00:00z"}, None, None),
+    "missing key": (
+        {"fix_changes": DROP},
+        ("defects[0]: defect entry missing keys: fix_changes",),
+        ("row 1: expected 9 fields, got 8",),
+    ),
+    "unknown key": (
+        {"colour": "red"},
+        ("defects[0]: unknown keys colour",),
+        ("row 1: expected 9 fields, got 10",),
+    ),
+    "fixed before found": (
+        {"fixed_at": "2004-03-01T09:00:00Z"},
+        ("defects[0]: fixed_at 2004-03-01T09:00:00Z is earlier than found_at "
+         "2004-03-01T10:00:00Z",),
+        ("row 1: fixed_at 2004-03-01T09:00:00Z is earlier than found_at 2004-03-01T10:00:00Z",),
+    ),
+}
+
+
+def _ledger_text(entry: dict) -> str:
+    return json.dumps({"products": PRODUCTS, "defects": [entry]})
+
+
+def _csv_text(entry: dict) -> str:
+    """The entry as a one-row defect log: null is an empty cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(DEFECT_CSV_COLUMNS)
+    writer.writerow(["" if value is None else str(value) for value in entry.values()])
+    return out.getvalue()
+
+
+FORMS = {
+    "ledger object": (_ledger_text, lambda text: load_ledger(text)[1]),
+    "CSV row": (_csv_text, parse_defect_log),
+}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_decoder_diagnostics_match_the_record(form, case):
+    change, ledger_diagnostics, csv_diagnostics = PARITY_CASES[case]
+    expected = ledger_diagnostics if form == "ledger object" else csv_diagnostics
+    entry = {k: v for k, v in (BASE | change).items() if v is not DROP}
+    encode, decode = FORMS[form]
+    if expected is None:
+        (record,) = decode(encode(entry))
+        (base,) = decode(encode(BASE))
+        assert record == base
+        return
+    with pytest.raises(ValidationError) as err:
+        decode(encode(entry))
+    assert err.value.diagnostics == expected
+
+
+# -- Timestamps ---------------------------------------------------------
+
+_DAY = timedelta(hours=23, minutes=59)
+_zones = st.one_of(
+    st.just(timezone.utc),
+    st.just(timezone(timedelta(0), "UTC")),
+    st.timedeltas(min_value=-_DAY, max_value=_DAY).map(timezone),
+)
+_aware = st.datetimes(
+    min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31), timezones=_zones
+)
+
+
+@given(_aware)
+def test_format_timestamp_matches_the_general_conversion(stamp):
+    expected = stamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    assert format_timestamp(stamp) == expected
+
+
+# -- Ledger round trip --------------------------------------------------
+
+_names = st.text(min_size=1, max_size=8)
+_utc_stamps = st.datetimes(
+    min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+    timezones=st.sampled_from([timezone.utc, timezone(timedelta(0), "UTC")]),
+)
+_counts = st.integers(1, MAX_COUNT)
+_profiles = st.lists(_names, min_size=1, max_size=4, unique=True).flatmap(
+    lambda ids: st.tuples(*(
+        st.builds(
+            ProductProfile,
+            product_id=st.just(product_id),
+            unique_formulas=_counts,
+            kloc=st.none() | st.floats(1e-6, 1e12),
+            function_points=st.none() | _counts,
+            description=st.text(max_size=8),
+        )
+        for product_id in ids
+    )).map(list)
+)
+
+
+@st.composite
+def _ledgers(draw):
+    profiles = draw(_profiles)
+    records = []
+    for index in range(draw(st.integers(0, 6))):
+        found = draw(_utc_stamps)
+        fixed = draw(st.none() | st.timedeltas(timedelta(0), timedelta(days=400)).map(
+            lambda delta: found + delta
+        ))
+        records.append(DefectRecord(
+            id=f"{draw(_names)}-{index}",
+            product_id=draw(st.sampled_from([p.product_id for p in profiles])),
+            phase_injected=draw(st.sampled_from(list(Phase))),
+            phase_found=draw(st.sampled_from([p for p in Phase if p is not Phase.UNKNOWN])),
+            found_at=found,
+            fixed_at=fixed,
+            severity=draw(st.integers(1, 4)),
+            status=Status.FIXED if fixed else draw(st.sampled_from([Status.OPEN, Status.DEFERRED])),
+            fix_changes=draw(st.none() | st.integers(0, MAX_COUNT)),
+        ))
+    return profiles, records
+
+
+@given(_ledgers())
+def test_load_inverts_dump(ledger):
+    profiles, records = ledger
+    assert load_ledger(dump_ledger(profiles, records)) == (profiles, records)
+
+
+# -- Exit-code contract on generated ledger inputs ----------------------
+
+#: Cell values near the edges of what each column accepts.
+_cells = st.one_of(
+    st.sampled_from(
+        ["", "d1", "m1", "build", "review", "unknown", "fixed", "open", "deferred", "Build",
+         "2004-03-01T10:00:00Z", "2004-03-01T10:00:00z", "2004-03-01T10:00:00+00:00",
+         "2004-03-01T10:00:00+02:00", "2004-03-01T10:00:00", "2004-02-30T10:00:00Z",
+         "0", "2", "4", "5", "-1", "1.5", "True", "null", "9" * 401]
+    ),
+    st.text(max_size=6),
+)
+_defect_csv = st.one_of(
+    st.lists(st.lists(_cells, min_size=8, max_size=10), max_size=4).map(
+        lambda rows: _csv_document([DEFECT_CSV_COLUMNS, *rows])
+    ),
+    st.text(max_size=40),
+)
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10) | st.just(10**400), st.floats(), _cells
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _csv_document(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@st.composite
+def _ledger_documents(draw):
+    """Ledger JSON: a valid one with some fields replaced, or any JSON."""
+    if draw(st.booleans()):
+        return json.dumps(draw(_json_values))
+    product = {"product_id": "m1", "unique_formulas": 100, "kloc": None,
+               "function_points": None, "description": ""}
+    defect = dict(BASE, product_id="m1")
+    for entry, keys in ((product, list(product)), (defect, list(defect))):
+        for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+            entry[key] = draw(_json_scalars)
+        if draw(st.booleans()):
+            entry.pop(draw(st.sampled_from(keys)))
+    return json.dumps({"products": [product], "defects": [defect]})
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code: int, err: str) -> None:
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if code == EXIT_OK else 1)
+
+
+@settings(deadline=None)
+@given(_defect_csv)
+def test_ingest_keeps_the_exit_code_contract(defects):
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {name: os.path.join(scratch, name) for name in ("d.csv", "p.json", "out.json")}
+        with open(paths["d.csv"], "w", encoding="utf-8", newline="") as handle:
+            handle.write(defects)
+        with open(paths["p.json"], "w", encoding="utf-8") as handle:
+            # Both ids that _cells offers for the product_id column.
+            json.dump(PRODUCTS + [{"product_id": "d1", "kloc": 2.5}], handle)
+        _assert_contract(*_run_quietly([
+            "ingest", "--defects", paths["d.csv"], "--products", paths["p.json"],
+            "--out", paths["out.json"],
+        ]))
+
+
+@settings(deadline=None)
+@given(_ledger_documents())
+def test_metrics_keeps_the_exit_code_contract(document):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "ledger.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        _assert_contract(*_run_quietly(["metrics", "--ledger", path]))
