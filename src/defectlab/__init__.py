@@ -1,135 +1,97 @@
 """defectlab: defect ledgers, quality metrics, revision forecasts,
-size-based issue estimators, and Rayleigh arrival fitting."""
+size-based issue estimators, and Rayleigh arrival fitting.
 
-from .charts import arrival_chart
-from .cli import run
-from .errors import DefectLabError, DivergenceError, NonConvergenceError, ValidationError
-from .ledger import (
-    ArrivalSeries,
-    DefectRecord,
-    Phase,
-    ProductProfile,
-    Status,
-    arrival_series,
-    build_ledger,
-    dump_ledger,
-    load_ledger,
-    parse_defect_log,
-    parse_product_registry,
-    parse_series,
-    serialize_defect_log,
-    serialize_product_registry,
-)
-from .metrics import (
-    MetricsSummary,
-    defect_density,
-    removal_efficiency,
-    removal_rate,
-    summaries_to_csv,
-    summaries_to_json,
-    summarize,
-)
-from .rayleigh import (
-    PEAK_FRACTION,
-    RayleighFit,
-    expected_bucket_counts,
-    fit_arrival,
-    projected_total_from_peak,
-    rayleigh_cdf,
-    remaining_defects,
-    time_to_threshold,
-)
-from .revisions import (
-    SIGNOFF_THRESHOLD,
-    McOutcome,
-    ProcessParams,
-    RevisionGrid,
-    RevisionTrajectory,
-    divergence_report,
-    grid_to_csv,
-    grid_to_json,
-    infer_efficiency,
-    initial_defects,
-    revision_table,
-    revisions_to_signoff,
-    simulate_monte_carlo,
-)
-from .sizing import (
-    DEFAULT_LINEAR_MODEL,
-    DEFAULT_SQRT_MODEL,
-    LinearSizeModel,
-    NegativeInterceptWarning,
-    SizePoint,
-    SqrtSizeModel,
-    fit_linear,
-    fit_sqrt,
-    linear_estimate,
-    parse_scatter,
-    residual_sum_of_squares,
-    sqrt_estimate,
-)
+The package loads lazily (PEP 562): ``import defectlab`` imports no
+submodule, and a public name or submodule is imported on first
+access, so each command pays only for the modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrivalSeries",
-    "DefectLabError",
-    "DefectRecord",
-    "DivergenceError",
-    "DEFAULT_LINEAR_MODEL",
-    "DEFAULT_SQRT_MODEL",
-    "LinearSizeModel",
-    "McOutcome",
-    "MetricsSummary",
-    "NegativeInterceptWarning",
-    "NonConvergenceError",
-    "PEAK_FRACTION",
-    "Phase",
-    "ProcessParams",
-    "ProductProfile",
-    "RayleighFit",
-    "RevisionGrid",
-    "RevisionTrajectory",
-    "SIGNOFF_THRESHOLD",
-    "SizePoint",
-    "SqrtSizeModel",
-    "Status",
-    "ValidationError",
-    "arrival_chart",
-    "arrival_series",
-    "build_ledger",
-    "defect_density",
-    "divergence_report",
-    "dump_ledger",
-    "expected_bucket_counts",
-    "fit_arrival",
-    "fit_linear",
-    "fit_sqrt",
-    "grid_to_csv",
-    "grid_to_json",
-    "infer_efficiency",
-    "initial_defects",
-    "linear_estimate",
-    "load_ledger",
-    "parse_defect_log",
-    "parse_product_registry",
-    "parse_scatter",
-    "parse_series",
-    "projected_total_from_peak",
-    "rayleigh_cdf",
-    "remaining_defects",
-    "removal_efficiency",
-    "removal_rate",
-    "residual_sum_of_squares",
-    "revision_table",
-    "revisions_to_signoff",
-    "run",
-    "serialize_defect_log",
-    "serialize_product_registry",
-    "simulate_monte_carlo",
-    "sqrt_estimate",
-    "summaries_to_csv",
-    "summaries_to_json",
-    "summarize",
-    "time_to_threshold",
-]
+#: Each public name, by the submodule that defines it.
+_PUBLIC = {
+    "charts": ("arrival_chart",),
+    "cli": ("run",),
+    "errors": ("DefectLabError", "DivergenceError", "NonConvergenceError", "ValidationError"),
+    "ledger": (
+        "ArrivalSeries",
+        "DefectRecord",
+        "Phase",
+        "ProductProfile",
+        "Status",
+        "arrival_series",
+        "build_ledger",
+        "dump_ledger",
+        "load_ledger",
+        "parse_defect_log",
+        "parse_product_registry",
+        "parse_series",
+        "serialize_defect_log",
+        "serialize_product_registry",
+    ),
+    "metrics": (
+        "MetricsSummary",
+        "defect_density",
+        "removal_efficiency",
+        "removal_rate",
+        "summaries_to_csv",
+        "summaries_to_json",
+        "summarize",
+    ),
+    "rayleigh": (
+        "PEAK_FRACTION",
+        "RayleighFit",
+        "expected_bucket_counts",
+        "fit_arrival",
+        "projected_total_from_peak",
+        "rayleigh_cdf",
+        "remaining_defects",
+        "time_to_threshold",
+    ),
+    "revisions": (
+        "SIGNOFF_THRESHOLD",
+        "McOutcome",
+        "ProcessParams",
+        "RevisionGrid",
+        "RevisionTrajectory",
+        "divergence_report",
+        "grid_to_csv",
+        "grid_to_json",
+        "infer_efficiency",
+        "initial_defects",
+        "revision_table",
+        "revisions_to_signoff",
+        "simulate_monte_carlo",
+    ),
+    "sizing": (
+        "DEFAULT_LINEAR_MODEL",
+        "DEFAULT_SQRT_MODEL",
+        "LinearSizeModel",
+        "NegativeInterceptWarning",
+        "SizePoint",
+        "SqrtSizeModel",
+        "fit_linear",
+        "fit_sqrt",
+        "linear_estimate",
+        "parse_scatter",
+        "residual_sum_of_squares",
+        "sqrt_estimate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_PUBLIC, *__all__})

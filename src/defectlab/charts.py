@@ -9,7 +9,7 @@ safe to archive next to the data it describes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import ValidationError
 
@@ -35,7 +35,7 @@ class _Plot:
         x0, y0 = LEFT, HEIGHT - BOTTOM
         x1, y1 = WIDTH - RIGHT, TOP
         self.elements.append(
-            f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-size="15">{escape(title, quote=False)}</text>'
         )
         axis = f'stroke="#333333" stroke-width="1"'
         self.elements.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" {axis}/>')
@@ -60,11 +60,11 @@ class _Plot:
             )
         self.elements.append(
             f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-size="12">{escape(x_label)}</text>'
+            f'font-size="12">{escape(x_label, quote=False)}</text>'
         )
         self.elements.append(
             f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 16 {(y0 + y1) // 2})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {(y0 + y1) // 2})">{escape(y_label, quote=False)}</text>'
         )
 
     def x(self, value: float) -> float:

@@ -18,8 +18,13 @@ from collections.abc import Sequence
 from datetime import timedelta
 from pathlib import Path
 
-from . import charts, ledger, metrics, rayleigh, revisions, sizing
 from .errors import DivergenceError, NonConvergenceError, ValidationError
+
+# Each handler imports the modules it uses, so a command loads only
+# its own; this import is for type checkers alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import revisions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -73,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--units", required=True, type=int, help="units of work in the build")
     p.add_argument("--dir", type=float, help="defect injection rate, as a fraction")
     p.add_argument("--dre", type=float, help="defect removal efficiency, as a fraction")
-    p.add_argument("--threshold", type=float, default=revisions.SIGNOFF_THRESHOLD,
+    p.add_argument("--threshold", type=float,
                    help="sign-off threshold on expected residual defects")
     p.add_argument("--monte-carlo", action="store_true", help="simulate instead of recurring")
     p.add_argument("--trials", type=int, help="Monte Carlo trial count")
@@ -103,6 +108,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from . import ledger
+
     records = ledger.parse_defect_log(_read_text(args.defects))
     profiles = ledger.parse_product_registry(_read_text(args.products))
     text = ledger.dump_ledger(profiles, records)
@@ -112,6 +119,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from . import ledger, metrics
+
     profiles, records = ledger.load_ledger(_read_text(args.ledger))
     if args.product is not None:
         profiles = [p for p in profiles if p.product_id == args.product]
@@ -142,10 +151,13 @@ def _rates_payload(params: revisions.ProcessParams) -> dict:
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
+    from . import revisions
+
+    threshold = revisions.SIGNOFF_THRESHOLD if args.threshold is None else args.threshold
     if args.table:
         if args.monte_carlo:
             raise ValidationError("--table and --monte-carlo are mutually exclusive")
-        grid = revisions.revision_table(args.units, threshold=args.threshold)
+        grid = revisions.revision_table(args.units, threshold=threshold)
         sys.stdout.write(
             revisions.grid_to_csv(grid) if args.format == "csv" else revisions.grid_to_json(grid)
         )
@@ -158,7 +170,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
         units=args.units,
         injection_rate=args.dir,
         removal_efficiency=args.dre,
-        threshold=args.threshold,
+        threshold=threshold,
     )
     if args.monte_carlo:
         if args.trials is None or args.seed is None:
@@ -182,6 +194,8 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from . import sizing
+
     if (args.uf is None) == (args.fit is None):
         raise ValidationError("estimate needs exactly one of --uf or --fit")
     if args.uf is not None:
@@ -228,6 +242,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_arrival(args: argparse.Namespace) -> int:
+    from . import ledger, rayleigh
+
     counts, inferred = ledger.parse_series(_read_text(args.series))
     bucket_days = args.bucket_days
     if bucket_days is not None:
@@ -260,6 +276,8 @@ def _cmd_fit_arrival(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from . import charts, ledger, rayleigh
+
     profiles, records = ledger.load_ledger(_read_text(args.ledger))
     scope = "all products"
     if args.product is not None:

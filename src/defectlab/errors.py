@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 #: Largest unit, formula or issue count accepted as input: every
@@ -12,9 +13,24 @@ MAX_COUNT = 2**53
 
 def above_max_count(name: str, value: int) -> str | None:
     """The problem with a count above MAX_COUNT, or None if it is within."""
-    if value > MAX_COUNT:
-        return f"{name} must be <= {MAX_COUNT}, got {value}"
-    return None
+    if value <= MAX_COUNT:
+        return None
+    try:
+        shown = str(value)
+    except ValueError:  # more digits than the interpreter converts to str
+        shown = f"an integer of {_digit_count(value)} digits"
+    return f"{name} must be <= {MAX_COUNT}, got {shown}"
+
+
+def _digit_count(value: int) -> int:
+    """Decimal digits of a positive integer, without converting it to str."""
+    digits = int(math.log10(value)) + 1
+    # log10 is rounded, so settle the count against exact powers of ten.
+    if 10 ** (digits - 1) > value:
+        digits -= 1
+    elif 10**digits <= value:
+        digits += 1
+    return digits
 
 
 class DefectLabError(Exception):

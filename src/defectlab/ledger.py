@@ -247,7 +247,7 @@ def read_csv_table(
         raise ValidationError(f"{what} is empty; expected a header row")
     if tuple(rows[0]) != columns:
         raise ValidationError(
-            f"{what} header mismatch: expected {','.join(columns)}, got {','.join(rows[0])}"
+            f"{what} header mismatch: expected {','.join(columns)}, got {','.join(rows[0])!r}"
         )
     decoded: list[T] = []
     diagnostics: list[str] = []

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectlab import ProductProfile, dump_ledger
 from defectlab.cli import (
@@ -416,6 +420,8 @@ LONG_INT = "1" + "0" * 5000
 LONG_INT_LEDGER = (
     '{"products": [{"product_id": "m1", "unique_formulas": ' + LONG_INT + '}], "defects": []}'
 )
+#: A header whose first cell holds a newline and a would-be second error line.
+NEWLINE_HEADER = '"id\nerror: second line",b\n'
 
 
 def _registry(size: str, value: str = HUGE) -> str:
@@ -452,6 +458,13 @@ def _ingest(tmp_path, defects: str | bytes, products: str | bytes) -> list[str]:
 
 #: Inputs that must end in exit 1 with a single error line, by case.
 CONTRACT_CASES = {
+    "newline in a header cell, ingest --defects": lambda t: _ingest(t, NEWLINE_HEADER, PRODUCTS),
+    "newline in a header cell, estimate --fit": lambda t: [
+        "estimate", "--fit", _file(t, "scatter.csv", NEWLINE_HEADER),
+    ],
+    "newline in a header cell, fit-arrival --series": lambda t: [
+        "fit-arrival", "--series", _file(t, "series.csv", NEWLINE_HEADER),
+    ],
     "long field, ingest --defects": lambda t: _ingest(
         t, DEFECT_HEADER + "\n" + LONG_FIELD + "\n", PRODUCTS
     ),
@@ -551,3 +564,72 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     (error,) = [line for line in err.splitlines() if line.startswith("error:")]
     if case.startswith("non-UTF-8"):
         assert "not-utf8" in error
+
+
+#: Edge values for the numeric flags: NaN, the infinities, zeros,
+#: negatives, tiny fractions, and integers past int64 and float range.
+EDGE_VALUES = ("nan", "-nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "-1e-300",
+               "1e308", str(10**20), HUGE, "-" + HUGE)
+_floats = st.sampled_from(EDGE_VALUES) | st.floats().map(repr) | st.floats(0, 1).map(repr)
+_ints = st.sampled_from(EDGE_VALUES) | st.integers().map(str) | st.integers(1, 10**6).map(str)
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """A ledger spanning 30 days and a numeric-offset series, for the
+    flag-value test; the short span keeps small buckets few."""
+    directory = tmp_path_factory.mktemp("flags")
+    records = [make_record(rid="d1"), make_record(rid="d2", found_offset_h=24 * 30)]
+    profiles = [ProductProfile(product_id="m1", unique_formulas=100)]
+    return {
+        "ledger": _file(directory, "ledger.json", dump_ledger(profiles, records)),
+        "series": _file(directory, "series.csv", "bucket_start,count\n0,1\n1,4\n2,6\n3,5\n4,2\n"),
+        "svg": str(directory / "out.svg"),
+    }
+
+
+@st.composite
+def _flag_argvs(draw, inputs: dict) -> list[str]:
+    """One command with generated values for its numeric flags.
+
+    Values go in ``--flag=value`` form, so that ``-inf`` reaches the
+    flag's type instead of reading as an option.  The Monte Carlo gets
+    at most 50 trials of at most 10,000 units, so no case runs long.
+    """
+    def maybe(flag: str, values) -> list[str]:
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ["forecast", "forecast --table", "forecast --monte-carlo", "estimate", "fit-arrival",
+         "report"]
+    ))
+    if command == "forecast --monte-carlo":
+        argv = ["forecast", f"--units={draw(st.integers(-2, 10_000))}", "--monte-carlo",
+                f"--trials={draw(st.integers(-2, 50))}", f"--seed={draw(_ints)}"]
+    elif command.startswith("forecast"):
+        argv = ["forecast", f"--units={draw(_ints)}", *command.split()[1:],
+                *maybe("--format", st.sampled_from(["json", "csv"]))]
+    elif command == "estimate":
+        argv = ["estimate", f"--uf={draw(_ints)}", *maybe("--model", st.sampled_from(
+            ["linear", "sqrt", "both"]))]
+    elif command == "fit-arrival":
+        argv = ["fit-arrival", "--series", inputs["series"], *maybe("--bucket-days", _floats)]
+    else:
+        argv = ["report", "--ledger", inputs["ledger"], "--svg", inputs["svg"],
+                *maybe("--bucket-days", _floats)]
+    if command.startswith("forecast"):
+        for flag in ("--dir", "--dre", "--threshold"):
+            argv += maybe(flag, _floats)
+    return argv
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_flag_values_keep_the_exit_code_contract(flag_inputs, data):
+    argv = data.draw(_flag_argvs(flag_inputs))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()
+    assert len([line for line in err.getvalue().splitlines() if line.startswith("error:")]) <= 1

@@ -248,6 +248,15 @@ class TestProductRegistry:
             ProductProfile(product_id="m", **{size: 10**400})
         assert err.value.diagnostics == (f"{size} must be <= {MAX_COUNT}, got {10**400}",)
 
+    @pytest.mark.parametrize("size", ["unique_formulas", "kloc", "function_points"])
+    def test_integer_size_past_the_digit_limit_rejected(self, size):
+        # 10**5000 has more digits than str() converts by default (4300).
+        with pytest.raises(ValidationError) as err:
+            ProductProfile(product_id="m", **{size: 10**5000})
+        assert err.value.diagnostics == (
+            f"{size} must be <= {MAX_COUNT}, got an integer of 5001 digits",
+        )
+
     def test_integer_kloc_loads_as_a_float(self):
         (profile,) = parse_product_registry('[{"product_id":"m1","kloc":3}]')
         assert type(profile.kloc) is float

@@ -64,6 +64,18 @@ class TestProcessParams:
         with pytest.raises(ValidationError, match="units must be <="):
             revision_table(10**400)
 
+    @pytest.mark.parametrize(("units", "shown"), [
+        (10**4300 - 1, str(10**4300 - 1)),
+        (10**4300, "an integer of 4301 digits"),
+        (10**5000 - 1, "an integer of 5000 digits"),
+        (10**5000, "an integer of 5001 digits"),
+    ], ids=["4300 digits", "4301 digits", "5000 digits", "5001 digits"])
+    def test_units_past_the_digit_limit_report_their_digit_count(self, units, shown):
+        # str() converts at most 4300 digits by default.
+        with pytest.raises(ValidationError) as err:
+            ProcessParams(units=units, injection_rate=0.2, removal_efficiency=0.5)
+        assert err.value.diagnostics == (f"units must be <= {MAX_COUNT}, got {shown}",)
+
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValidationError, match="threshold"):
             ProcessParams(units=10, injection_rate=0.2, removal_efficiency=0.5, threshold=0.0)

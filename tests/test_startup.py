@@ -1,8 +1,9 @@
-"""Startup cost: only the Monte Carlo loads numpy.
+"""Startup cost: only the Monte Carlo loads numpy, and each command
+loads only the modules it uses.
 
 Each check runs in a fresh interpreter, because this test process may
-already hold numpy.  The commands run in-process there through
-``cli.run`` on the golden inputs.
+already hold numpy and every submodule.  The commands run in-process
+there through ``cli.run`` on the golden inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import defectlab
 
 INPUTS = Path(__file__).parent / "data" / "golden"
 SRC = str(Path(defectlab.__file__).resolve().parent.parent)
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 #: Every command path that needs no Monte Carlo.
 NUMPY_FREE = {
@@ -52,12 +54,37 @@ print(json.dumps(steps))
 """
 
 
-def _fresh_run(tmp_path, commands: list[list[str]]) -> list[dict]:
+#: Runs one argv and prints, as JSON, the modules loaded after
+#: ``import defectlab`` and after the command, with its exit code.
+MODULES_CHILD = """
+import contextlib, io, json, sys
+import defectlab
+imported = sorted(sys.modules)
+from defectlab.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(json.loads(sys.argv[1]))
+print(json.dumps({"imported": imported, "exit": code, "loaded": sorted(sys.modules)}))
+"""
+
+#: Prints, as JSON, whether ``getattr(defectlab, name)`` is the
+#: submodule, for each module the benchmark's traced launcher wraps.
+SPANS_CHILD = """
+import json, sys
+import defectlab, launch
+print(json.dumps({m: getattr(defectlab, m) is sys.modules["defectlab." + m] for m in launch.SPANS}))
+"""
+
+#: Modules that pull in ``urllib.request``, ``ssl`` and the like; no
+#: command needs them.
+NEVER_LOADED = {"xml.sax", "http.client", "email"}
+
+
+def _fresh_run(tmp_path, commands: list, child: str = CHILD, path: str = SRC):
     for source in INPUTS.iterdir():
         shutil.copy(source, tmp_path / source.name)
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", child, json.dumps(commands)],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -74,3 +101,29 @@ def test_only_the_monte_carlo_loads_numpy(tmp_path):
     payload = json.loads(monte_carlo["stdout"])
     assert payload["histogram"] == MONTE_CARLO_HISTOGRAM
     assert payload["mean_revisions"] == 5.964
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    loaded = {}
+    # One fresh interpreter per command; ingest runs first and writes
+    # the ledger that metrics and report read.
+    for name, argv in [*NUMPY_FREE.items(), ("forecast --monte-carlo", MONTE_CARLO)]:
+        result = _fresh_run(tmp_path, argv, MODULES_CHILD)
+        assert result["exit"] == 0, name
+        assert [m for m in result["imported"] if m.startswith("defectlab.")] == [], name
+        assert not NEVER_LOADED & set(result["imported"]), name
+        loaded[name] = set(result["loaded"])
+    assert [name for name, modules in loaded.items() if "defectlab.charts" in modules] == ["report"]
+    for name, modules in loaded.items():
+        assert not NEVER_LOADED & modules, name
+    for name in ("forecast", "forecast --table"):
+        assert not {"defectlab.ledger", "csv"} & loaded[name], name
+
+
+def test_lazy_package_resolves_every_module_the_launcher_wraps(tmp_path):
+    resolved = _fresh_run(tmp_path, [], SPANS_CHILD, os.pathsep.join([SRC, PERFBENCH]))
+    assert resolved and all(resolved.values()), resolved
+
+
+def test_dir_lists_every_public_name():
+    assert set(defectlab.__all__) <= set(dir(defectlab))
