@@ -15,11 +15,18 @@ def above_max_count(name: str, value: int) -> str | None:
     """The problem with a count above MAX_COUNT, or None if it is within."""
     if value <= MAX_COUNT:
         return None
+    return f"{name} must be <= {MAX_COUNT}, got {show_int(value)}"
+
+
+def show_int(value: int) -> str:
+    """An integer as a message shows it: ``str(value)``, or its digit
+    count when it has more digits than the interpreter converts to str
+    (4300 by default), so that a message never raises on its value."""
     try:
-        shown = str(value)
-    except ValueError:  # more digits than the interpreter converts to str
-        shown = f"an integer of {_digit_count(value)} digits"
-    return f"{name} must be <= {MAX_COUNT}, got {shown}"
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {_digit_count(abs(value))} digits"
 
 
 def _digit_count(value: int) -> int:

@@ -20,7 +20,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import TypeVar
 
-from .errors import ValidationError, above_max_count
+from .errors import ValidationError, above_max_count, show_int
 
 T = TypeVar("T")
 E = TypeVar("E", bound=Enum)
@@ -150,7 +150,7 @@ class DefectRecord:
             problems.append("found_at must be a UTC timestamp")
         lo, hi = SEVERITY_RANGE
         if not lo <= self.severity <= hi:
-            problems.append(f"severity must be in {lo}..{hi}, got {self.severity}")
+            problems.append(f"severity must be in {lo}..{hi}, got {show_int(self.severity)}")
         if (self.status is Status.FIXED) != (self.fixed_at is not None):
             problems.append(
                 f"status {self.status.value!r} is inconsistent with "
@@ -165,7 +165,7 @@ class DefectRecord:
                     f"found_at {format_timestamp(self.found_at)}"
                 )
         if self.fix_changes is not None and self.fix_changes < 0:
-            problems.append(f"fix_changes must be >= 0, got {self.fix_changes}")
+            problems.append(f"fix_changes must be >= 0, got {show_int(self.fix_changes)}")
         if problems:
             raise ValidationError(f"invalid defect record {self.id!r}", problems)
 
@@ -202,7 +202,7 @@ class ProductProfile:
             if isinstance(value, int) and (problem := above_max_count(name, value)):
                 problems.append(problem)
             elif value <= 0 or not math.isfinite(value):
-                problems.append(f"{name}: size must be positive, got {value}")
+                problems.append(f"{name}: size must be positive, got {show_int(value)}")
         if problems:
             raise ValidationError(f"invalid product profile {self.product_id!r}", problems)
 
@@ -296,7 +296,10 @@ def _check_keys(entry: object, keys: frozenset[str]) -> None:
     if not isinstance(entry, dict):
         raise ValidationError("expected an object")
     if not entry.keys() <= keys:
-        raise ValidationError(f"unknown keys {', '.join(sorted(entry.keys() - keys))}")
+        # A key that is not printable, a newline say, is shown escaped so
+        # that it cannot start a line of its own in the message.
+        unknown = (k if k.isprintable() else repr(k) for k in sorted(entry.keys() - keys))
+        raise ValidationError(f"unknown keys {', '.join(unknown)}")
 
 
 def _require(
@@ -442,7 +445,7 @@ def _series_row(fields: list[str]) -> tuple[float, int]:
     except ValueError:
         raise ValidationError(f"count must be an integer, got {raw_count!r}") from None
     if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
+        raise ValidationError(f"count must be >= 0, got {show_int(count)}")
     if problem := above_max_count("count", count):
         raise ValidationError(problem)
     return start_days, count
@@ -573,32 +576,19 @@ def load_ledger(text: str) -> tuple[list[ProductProfile], list[DefectRecord]]:
     return profiles, records
 
 
-def arrival_series(
-    records: Sequence[DefectRecord],
-    bucket_width: timedelta,
-    origin: datetime | None = None,
-) -> ArrivalSeries:
+def arrival_series(records: Sequence[DefectRecord], bucket_width: timedelta) -> ArrivalSeries:
     """Bucket defect discovery times onto a uniform grid.
 
-    ``origin`` defaults to the earliest ``found_at``.  Records found
-    before the origin are an error, and so is a grid of more than
-    :data:`MAX_BUCKETS` buckets.  The counts always sum to the number
-    of records.
+    The grid starts at the earliest ``found_at`` (at the Unix epoch for
+    no records).  A grid of more than :data:`MAX_BUCKETS` buckets is an
+    error.  The counts always sum to the number of records.
     """
     if bucket_width <= timedelta(0):
         raise ValidationError(f"bucket_width must be positive, got {bucket_width}")
     if not records:
-        if origin is None:
-            origin = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        origin = datetime(1970, 1, 1, tzinfo=timezone.utc)
         return ArrivalSeries(origin=origin, bucket_width=bucket_width, counts=())
-    if origin is None:
-        origin = min(r.found_at for r in records)
-    early = [r.id for r in records if r.found_at < origin]
-    if early:
-        raise ValidationError(
-            f"records found before series origin {format_timestamp(origin)}: "
-            + ", ".join(repr(i) for i in sorted(early))
-        )
+    origin = min(r.found_at for r in records)
     indices = [(r.found_at - origin) // bucket_width for r in records]
     buckets = max(indices) + 1
     if buckets > MAX_BUCKETS:

@@ -14,9 +14,9 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 
-from .errors import ValidationError
+from .errors import ValidationError, above_max_count, show_int
 from .ledger import DefectRecord, ProductProfile, Status
 
 #: Field order for MetricsSummary serialization (JSON and CSV).
@@ -37,7 +37,7 @@ INJECTION_RATE_BASIS = (
     "recorded defects per unique formula; residual undiscovered defects assumed zero"
 )
 
-#: Default trailing window for the removal rate in a summary.
+#: Trailing window for the removal rate in a summary.
 DEFAULT_RATE_WINDOW = timedelta(days=7)
 
 
@@ -60,7 +60,7 @@ class MetricsSummary:
     def __post_init__(self) -> None:
         problems = []
         if self.defect_count < 0:
-            problems.append(f"defect_count must be >= 0, got {self.defect_count}")
+            problems.append(f"defect_count must be >= 0, got {show_int(self.defect_count)}")
         for name in ("injection_rate", "removal_efficiency"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -76,57 +76,56 @@ class MetricsSummary:
 def defect_density(defects: int, size: float) -> float:
     """Defects per size unit (unique formulas, KLOC, or function points)."""
     if defects < 0:
-        raise ValidationError(f"defects must be >= 0, got {defects}")
-    if not math.isfinite(size) or size <= 0:
-        raise ValidationError(f"size must be positive, got {size}")
+        raise ValidationError(f"defects must be >= 0, got {show_int(defects)}")
+    # An integer past MAX_COUNT may not convert to a float at all.
+    if problem := above_max_count("defects", defects):
+        raise ValidationError(problem)
+    if isinstance(size, int) and (problem := above_max_count("size", size)):
+        raise ValidationError(problem)
+    if size <= 0 or not math.isfinite(size):
+        raise ValidationError(f"size must be positive, got {show_int(size)}")
     return defects / size
 
 
 def removal_efficiency(removed_by_process: int, total_present: int) -> float:
     """Fraction of the defects present that a find-and-fix pass removed."""
     if total_present <= 0:
-        raise ValidationError(f"total_present must be positive, got {total_present}")
+        raise ValidationError(f"total_present must be positive, got {show_int(total_present)}")
     if removed_by_process < 0:
-        raise ValidationError(f"removed_by_process must be >= 0, got {removed_by_process}")
+        raise ValidationError(
+            f"removed_by_process must be >= 0, got {show_int(removed_by_process)}"
+        )
     if removed_by_process > total_present:
         raise ValidationError(
-            f"removed_by_process {removed_by_process} exceeds total_present {total_present}"
+            f"removed_by_process {show_int(removed_by_process)} exceeds "
+            f"total_present {show_int(total_present)}"
         )
     return removed_by_process / total_present
 
 
-def removal_rate(
-    records: Sequence[DefectRecord],
-    window: timedelta,
-    as_of: datetime | None = None,
-) -> float | None:
+def removal_rate(records: Sequence[DefectRecord], window: timedelta) -> float | None:
     """Defects fixed per day over a trailing window.
 
-    The window ends at ``as_of``, defaulting to the latest timestamp
-    anywhere in the records (the ledger's observation horizon), and is
-    half-open: a fix exactly at the horizon counts, one exactly
-    ``window`` before it does not.  Returns None when no fixes fall
-    inside the window; a rate of zero is never fabricated.
+    The window ends at the latest timestamp anywhere in the records (the
+    ledger's observation horizon), and is half-open: a fix exactly at
+    the horizon counts, one exactly ``window`` before it does not.
+    Returns None when no fixes fall inside the window; a rate of zero is
+    never fabricated.
     """
     if window <= timedelta(0):
         raise ValidationError(f"window must be positive, got {window}")
     fix_times = [r.fixed_at for r in records if r.fixed_at is not None]
     if not fix_times:
         return None
-    if as_of is None:
-        as_of = max(max(fix_times), max(r.found_at for r in records))
-    start = as_of - window
-    fixes_in_window = sum(1 for t in fix_times if start < t <= as_of)
+    horizon = max(max(fix_times), max(r.found_at for r in records))
+    start = horizon - window
+    fixes_in_window = sum(1 for t in fix_times if start < t <= horizon)
     if fixes_in_window == 0:
         return None
     return fixes_in_window / (window / timedelta(days=1))
 
 
-def summarize(
-    records: Sequence[DefectRecord],
-    profile: ProductProfile,
-    window: timedelta = DEFAULT_RATE_WINDOW,
-) -> MetricsSummary:
+def summarize(records: Sequence[DefectRecord], profile: ProductProfile) -> MetricsSummary:
     """Aggregate the single metrics over one product's records.
 
     With no records at all, every optional metric is absent: nothing
@@ -160,7 +159,7 @@ def summarize(
         density_per_kloc=density_kloc,
         injection_rate=rate_injected,
         removal_efficiency=removal_efficiency(fixed, count),
-        removal_rate=removal_rate(records, window),
+        removal_rate=removal_rate(records, DEFAULT_RATE_WINDOW),
     )
 
 

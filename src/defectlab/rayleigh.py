@@ -18,7 +18,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import NonConvergenceError, ValidationError, show_int
 
 #: Fraction of lifetime defects discovered by t = sigma: 1 - e^(-1/2).
 PEAK_FRACTION = 1.0 - math.exp(-0.5)
@@ -58,7 +58,7 @@ class RayleighFit:
         if not math.isfinite(self.sse) or self.sse < 0:
             problems.append(f"sse must be >= 0, got {self.sse}")
         if self.buckets_used < 3:
-            problems.append(f"buckets_used must be >= 3, got {self.buckets_used}")
+            problems.append(f"buckets_used must be >= 3, got {show_int(self.buckets_used)}")
         if problems:
             raise ValidationError("invalid arrival fit", problems)
 
@@ -77,7 +77,7 @@ def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
 def expected_bucket_counts(k_total: float, sigma: float, buckets: int) -> list[float]:
     """Per-bucket expected discoveries implied by the model."""
     if buckets < 1:
-        raise ValidationError(f"buckets must be >= 1, got {buckets}")
+        raise ValidationError(f"buckets must be >= 1, got {show_int(buckets)}")
     edges = [rayleigh_cdf(float(i), k_total, sigma) for i in range(buckets + 1)]
     return [b - a for a, b in zip(edges, edges[1:])]
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+import sys
 from dataclasses import dataclass
 
-from .errors import DivergenceError, ValidationError, above_max_count
+from .errors import DivergenceError, ValidationError, above_max_count, show_int
 
 #: Expected residual defects below which a product is signed off.
 SIGNOFF_THRESHOLD = 0.5
@@ -81,9 +81,20 @@ def _check_fraction(name: str, value: float, problems: list[str]) -> None:
 
 def _check_units(units: int, problems: list[str]) -> None:
     if units < 1:
-        problems.append(f"units must be >= 1, got {units}")
+        problems.append(f"units must be >= 1, got {show_int(units)}")
     elif problem := above_max_count("units", units):
         problems.append(problem)
+
+
+def _check_threshold(threshold: float, problems: list[str]) -> None:
+    # Below the smallest normal float the decay can stall at a subnormal
+    # value above the threshold, so a convergent process would read as
+    # divergent; at or above it, every cell of the published grid signs
+    # off within a few thousand revisions, even at MAX_COUNT units.
+    if not math.isfinite(threshold) or threshold <= 0:
+        problems.append(f"threshold must be positive, got {threshold}")
+    elif threshold < sys.float_info.min:
+        problems.append(f"threshold must be >= {sys.float_info.min}, got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +117,7 @@ class ProcessParams:
         _check_units(self.units, problems)
         _check_fraction("injection_rate", self.injection_rate, problems)
         _check_fraction("removal_efficiency", self.removal_efficiency, problems)
-        if not math.isfinite(self.threshold) or self.threshold <= 0:
-            problems.append(f"threshold must be positive, got {self.threshold}")
+        _check_threshold(self.threshold, problems)
         if problems:
             raise ValidationError("invalid process parameters", problems)
 
@@ -128,7 +138,7 @@ class RevisionTrajectory:
         problems: list[str] = []
         if self.revisions != len(self.expected_defects) or self.revisions < 1:
             problems.append(
-                f"revisions {self.revisions} must equal trajectory length "
+                f"revisions {show_int(self.revisions)} must equal trajectory length "
                 f"{len(self.expected_defects)}"
             )
         if any(d < 0 or not math.isfinite(d) for d in self.expected_defects):
@@ -164,10 +174,13 @@ class McOutcome:
     def __post_init__(self) -> None:
         problems: list[str] = []
         if self.trials < 1:
-            problems.append(f"trials must be >= 1, got {self.trials}")
+            problems.append(f"trials must be >= 1, got {show_int(self.trials)}")
         total = sum(self.histogram.values())
         if total != self.trials:
-            problems.append(f"histogram frequencies sum to {total}, expected {self.trials}")
+            problems.append(
+                f"histogram frequencies sum to {show_int(total)}, "
+                f"expected {show_int(self.trials)}"
+            )
         if self.histogram:
             mean = sum(k * v for k, v in self.histogram.items()) / max(total, 1)
             if not math.isclose(mean, self.mean_revisions, rel_tol=0.0, abs_tol=1e-9):
@@ -175,7 +188,7 @@ class McOutcome:
                     f"mean_revisions {self.mean_revisions} inconsistent with histogram ({mean})"
                 )
         if not 0 <= self.censored <= self.trials:
-            problems.append(f"censored must be within 0..trials, got {self.censored}")
+            problems.append(f"censored must be within 0..trials, got {show_int(self.censored)}")
         if problems:
             raise ValidationError("invalid Monte Carlo outcome", problems)
 
@@ -240,14 +253,14 @@ class RevisionGrid:
     """Forecast revision counts over a grid of rate combinations.
 
     ``cells[i][j]`` is the count for ``removal_efficiencies[i]`` and
-    ``injection_rates[j]``; None marks a divergent combination.
+    ``injection_rates[j]``.
     """
 
     units: int
     threshold: float
     injection_rates: tuple[float, ...]
     removal_efficiencies: tuple[float, ...]
-    cells: tuple[tuple[int | None, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.removal_efficiencies) or any(
@@ -256,44 +269,29 @@ class RevisionGrid:
             raise ValidationError("grid shape does not match its axes")
 
 
-def revision_table(
-    units: int,
-    injection_rates: Sequence[float] | None = None,
-    removal_efficiencies: Sequence[float] | None = None,
-    threshold: float = SIGNOFF_THRESHOLD,
-) -> RevisionGrid:
-    """Forecast a whole grid, marking divergent cells instead of failing."""
-    dirs = tuple(injection_rates if injection_rates is not None else DEFAULT_INJECTION_RATES)
-    dres = tuple(
-        removal_efficiencies if removal_efficiencies is not None else DEFAULT_REMOVAL_EFFICIENCIES
-    )
-    if not dirs or not dres:
-        raise ValidationError("grid axes must be non-empty")
+def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> RevisionGrid:
+    """Forecast every cell of the published grid's axes for one build.
+
+    Every rate pair on those axes removes defects on net, so every cell
+    signs off (see ``_check_threshold``).
+    """
     problems: list[str] = []
-    for rate in dirs:
-        _check_fraction("injection_rate", rate, problems)
-    for rate in dres:
-        _check_fraction("removal_efficiency", rate, problems)
     _check_units(units, problems)
-    if not math.isfinite(threshold) or threshold <= 0:
-        problems.append(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold, problems)
     if problems:
         raise ValidationError("invalid grid axes", problems)
 
     rows = []
-    for dre in dres:
-        row: list[int | None] = []
-        for dir_ in dirs:
-            try:
-                row.append(len(_decay_states(units * dir_, dir_, dre, threshold)))
-            except DivergenceError:
-                row.append(None)
+    for dre in DEFAULT_REMOVAL_EFFICIENCIES:
+        row: list[int] = []
+        for dir_ in DEFAULT_INJECTION_RATES:
+            row.append(len(_decay_states(units * dir_, dir_, dre, threshold)))
         rows.append(tuple(row))
     return RevisionGrid(
         units=units,
         threshold=threshold,
-        injection_rates=dirs,
-        removal_efficiencies=dres,
+        injection_rates=DEFAULT_INJECTION_RATES,
+        removal_efficiencies=DEFAULT_REMOVAL_EFFICIENCIES,
         cells=tuple(rows),
     )
 
@@ -304,41 +302,33 @@ def _pct(value: float) -> str:
 
 def grid_to_csv(grid: RevisionGrid) -> str:
     """Grid as CSV: one row per removal efficiency, one column per
-    injection rate, axes labelled in percent, divergent cells marked."""
+    injection rate, axes labelled in percent."""
     lines = ["dre_pct\\dir_pct," + ",".join(_pct(d) for d in grid.injection_rates)]
     for dre, row in zip(grid.removal_efficiencies, grid.cells):
-        cells = ["divergent" if c is None else str(c) for c in row]
-        lines.append(_pct(dre) + "," + ",".join(cells))
+        lines.append(_pct(dre) + "," + ",".join(map(str, row)))
     return "\n".join(lines) + "\n"
-
-
-def _published_count(dre: float, dir_: float, units: int) -> int | None:
-    if units != PUBLISHED_GRID_UNITS:
-        return None
-    key = (round(dre * 100), round(dir_ * 100))
-    if abs(dre * 100 - key[0]) > 1e-9 or abs(dir_ * 100 - key[1]) > 1e-9:
-        return None
-    return PUBLISHED_REVISIONS.get(key)
 
 
 def divergence_report(grid: RevisionGrid) -> list[dict]:
     """Cell-by-cell comparison of the model against the published grid.
 
     Every cell of the input grid appears once.  ``published`` and
-    ``delta`` are None for combinations outside the published axes or
-    when the grid was built for a different unit count.
+    ``delta`` are None when the grid was built for a unit count other
+    than PUBLISHED_GRID_UNITS.
     """
+    reference = grid.units == PUBLISHED_GRID_UNITS
     report = []
     for dre, row in zip(grid.removal_efficiencies, grid.cells):
         for dir_, model in zip(grid.injection_rates, row):
-            published = _published_count(dre, dir_, grid.units)
-            delta = model - published if model is not None and published is not None else None
+            published = (
+                PUBLISHED_REVISIONS[round(dre * 100), round(dir_ * 100)] if reference else None
+            )
             report.append({
                 "removal_efficiency": dre,
                 "injection_rate": dir_,
                 "model": model,
                 "published": published,
-                "delta": delta,
+                "delta": None if published is None else model - published,
             })
     return report
 
@@ -348,14 +338,14 @@ def grid_to_json(grid: RevisionGrid) -> str:
     the comparison against the published reference grid."""
     cells = []
     for cell in divergence_report(grid):
-        dre, dir_, model = cell["removal_efficiency"], cell["injection_rate"], cell["model"]
+        dre, dir_ = cell["removal_efficiency"], cell["injection_rate"]
         cells.append({
             "removal_efficiency": dre,
             "injection_rate": dir_,
-            "revisions": model,
-            "divergent": model is None,
-            "trajectory": None if model is None
-            else _decay_states(grid.units * dir_, dir_, dre, grid.threshold),
+            "revisions": cell["model"],
+            # No cell diverges; the key is kept so the document keeps its shape.
+            "divergent": False,
+            "trajectory": _decay_states(grid.units * dir_, dir_, dre, grid.threshold),
             "published": cell["published"],
             "delta": cell["delta"],
         })
@@ -385,9 +375,9 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
     reproduces exactly and memory does not grow with the trial count.
     """
     if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+        raise ValidationError(f"trials must be >= 1, got {show_int(trials)}")
     if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+        raise ValidationError(f"seed must be >= 0, got {show_int(seed)}")
     import numpy as np  # only the Monte Carlo needs numpy; the other commands start without it
 
     # A trial's revision count lies in 1..1 + MC_CYCLE_CAP.
@@ -434,12 +424,11 @@ def infer_efficiency(
     if not math.isfinite(initial) or initial <= 0:
         problems.append(f"initial defects must be positive, got {initial}")
     if revisions < 2:
-        problems.append(f"revisions must be >= 2, got {revisions}")
+        problems.append(f"revisions must be >= 2, got {show_int(revisions)}")
     _check_fraction("injection_rate", injection_rate, problems)
     if injection_rate >= 1.0:
         problems.append("injection_rate must be < 1 for any removal to stick")
-    if not math.isfinite(threshold) or threshold <= 0:
-        problems.append(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold, problems)
     if problems:
         raise ValidationError("invalid inverse-estimation inputs", problems)
 
@@ -451,7 +440,7 @@ def infer_efficiency(
 
     if not achieves(1.0):
         raise ValidationError(
-            f"{revisions} revisions are unreachable from {initial} initial defects "
+            f"{show_int(revisions)} revisions are unreachable from {initial} initial defects "
             f"even at removal efficiency 1.0"
         )
     lo, hi = 0.0, 1.0

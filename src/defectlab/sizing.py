@@ -12,8 +12,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError, above_max_count
-from .ledger import read_csv_table
+from .errors import ValidationError, above_max_count, show_int
 
 #: Intercept of the default linear model, in issues.
 DEFAULT_LINEAR_INTERCEPT = 62.0
@@ -76,7 +75,7 @@ class SizePoint:
     def __post_init__(self) -> None:
         _check_uf(self.uf)
         if self.issues < 0:
-            raise ValidationError(f"issues must be >= 0, got {self.issues}")
+            raise ValidationError(f"issues must be >= 0, got {show_int(self.issues)}")
         if problem := above_max_count("issues", self.issues):
             raise ValidationError(problem)
 
@@ -89,7 +88,7 @@ DEFAULT_SQRT_MODEL = SqrtSizeModel(coefficient=DEFAULT_SQRT_COEFFICIENT)
 
 def _check_uf(uf: int) -> None:
     if uf <= 0:
-        raise ValidationError(f"uf must be positive, got {uf}")
+        raise ValidationError(f"uf must be positive, got {show_int(uf)}")
     if problem := above_max_count("uf", uf):
         raise ValidationError(problem)
 
@@ -159,4 +158,7 @@ def _scatter_row(fields: list[str]) -> SizePoint:
 
 def parse_scatter(text: str) -> list[SizePoint]:
     """Parse scatter CSV with columns ``uf,issues``."""
+    # Imported here, so that estimate --uf loads neither ledger nor csv.
+    from .ledger import read_csv_table
+
     return read_csv_table(text, ("uf", "issues"), "scatter file", _scatter_row)

@@ -422,6 +422,8 @@ LONG_INT_LEDGER = (
 )
 #: A header whose first cell holds a newline and a would-be second error line.
 NEWLINE_HEADER = '"id\nerror: second line",b\n'
+#: A registry entry with an unknown key holding a would-be second error line.
+NEWLINE_KEY_REGISTRY = '[{"product_id":"m1","unique_formulas":10,"zz\\nerror: injected":1}]'
 
 
 def _registry(size: str, value: str = HUGE) -> str:
@@ -464,6 +466,15 @@ CONTRACT_CASES = {
     ],
     "newline in a header cell, fit-arrival --series": lambda t: [
         "fit-arrival", "--series", _file(t, "series.csv", NEWLINE_HEADER),
+    ],
+    "newline in an unknown registry key, ingest --products": lambda t: _ingest(
+        t, DEFECT_HEADER + "\n", NEWLINE_KEY_REGISTRY
+    ),
+    "subnormal threshold, forecast": lambda t: [
+        "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.3", "--threshold", "5e-324",
+    ],
+    "subnormal threshold, forecast --table": lambda t: [
+        "forecast", "--units", "2000", "--table", "--threshold", "5e-324",
     ],
     "long field, ingest --defects": lambda t: _ingest(
         t, DEFECT_HEADER + "\n" + LONG_FIELD + "\n", PRODUCTS

@@ -276,11 +276,6 @@ class TestArrivalSeries:
         series = arrival_series(records, timedelta(days=7))
         assert series.counts == (2, 1)
 
-    def test_record_before_origin_rejected_by_id(self):
-        records = [make_record(rid="early", found_offset_h=0)]
-        with pytest.raises(ValidationError, match="'early'"):
-            arrival_series(records, timedelta(days=7), origin=EPOCH + timedelta(hours=1))
-
     def test_bucket_count_is_capped_before_allocating(self):
         records = [make_record(rid="a"), make_record(rid="b", found_offset_h=MAX_BUCKETS - 1)]
         assert len(arrival_series(records, timedelta(hours=1)).counts) == MAX_BUCKETS

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EPOCH, make_record
+from conftest import make_record
 from defectlab import (
     MetricsSummary,
     ProductProfile,
@@ -23,7 +23,12 @@ from defectlab import (
     summaries_to_json,
     summarize,
 )
-from defectlab.metrics import INJECTION_RATE_BASIS, SUMMARY_FIELDS, summary_to_dict
+from defectlab.metrics import (
+    DEFAULT_RATE_WINDOW,
+    INJECTION_RATE_BASIS,
+    SUMMARY_FIELDS,
+    summary_to_dict,
+)
 
 
 class TestDefectDensity:
@@ -98,24 +103,21 @@ class TestRemovalRate:
             make_record(rid="recent", found_offset_h=24 * 30),
         ]
         assert removal_rate(records, timedelta(days=7)) is None
+        # Without it, the horizon is the fix itself.
+        assert removal_rate(records[:1], timedelta(days=7)) == pytest.approx(1 / 7)
 
     def test_no_fixed_records_give_none(self):
         records = [make_record(rid="d1"), make_record(rid="d2", found_offset_h=5)]
         assert removal_rate(records, timedelta(days=7)) is None
 
-    def test_explicit_as_of_moves_the_window(self):
-        records = [make_record(rid="d1", found_offset_h=0, fixed_offset_h=1)]
-        late = EPOCH + timedelta(days=60)
-        assert removal_rate(records, timedelta(days=7), as_of=late) is None
-        assert removal_rate(records, timedelta(days=7)) == pytest.approx(1 / 7)
-
     def test_window_is_half_open(self):
         records = [make_record(rid="d1", found_offset_h=0, fixed_offset_h=0.0)]
-        horizon = EPOCH + timedelta(days=7)
-        # Fix exactly window-before-horizon is excluded...
-        assert removal_rate(records, timedelta(days=7), as_of=horizon) is None
+        # A found-only record puts the horizon exactly one window after
+        # the fix, which is then excluded...
+        horizon = make_record(rid="d2", found_offset_h=24 * 7)
+        assert removal_rate([*records, horizon], timedelta(days=7)) is None
         # ...but a fix exactly at the horizon counts.
-        assert removal_rate(records, timedelta(days=7), as_of=EPOCH) == pytest.approx(1 / 7)
+        assert removal_rate(records, timedelta(days=7)) == pytest.approx(1 / 7)
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValidationError, match="window must be positive"):
@@ -206,12 +208,12 @@ class TestSummarize:
             make_record(rid=f"d{i}", found_offset_h=i, fixed_offset_h=(i + 1.0 if i % 2 else None))
             for i in range(10)
         ]
-        summary = summarize(records, profile, window=timedelta(days=3))
+        summary = summarize(records, profile)
         assert summary.density_per_uf == defect_density(10, 500)
         assert summary.density_per_kloc == defect_density(10, 2.0)
         assert summary.injection_rate == summary.density_per_uf
         assert summary.removal_efficiency == removal_efficiency(5, 10)
-        assert summary.removal_rate == removal_rate(records, timedelta(days=3))
+        assert summary.removal_rate == removal_rate(records, DEFAULT_RATE_WINDOW)
 
 
 class TestSummaryTypes:

@@ -30,6 +30,7 @@ NUMPY_FREE = {
     "forecast": ["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75"],
     "forecast --table": ["forecast", "--units", "2000", "--table"],
     "estimate": ["estimate", "--fit", "scatter.csv"],
+    "estimate --uf": ["estimate", "--uf", "2182"],
     "fit-arrival": ["fit-arrival", "--series", "series.csv"],
 }
 MONTE_CARLO = ["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
@@ -116,7 +117,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     assert [name for name, modules in loaded.items() if "defectlab.charts" in modules] == ["report"]
     for name, modules in loaded.items():
         assert not NEVER_LOADED & modules, name
-    for name in ("forecast", "forecast --table"):
+    for name in ("forecast", "forecast --table", "estimate --uf"):
         assert not {"defectlab.ledger", "csv"} & loaded[name], name
 
 
