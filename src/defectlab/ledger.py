@@ -5,7 +5,9 @@ against them.  Defect logs travel as CSV, product registries as JSON,
 and the two combine into a single ledger JSON document that the rest
 of the toolkit consumes.  Each input shape has one decoder: every CSV
 document goes through :func:`read_csv_table`, every defect through
-``_record_from_dict`` and every product through ``_profile_from_dict``.
+``_record_from_values`` and every product through ``_profile_from_dict``.
+A defect reaches its decoder as its nine values in column order: a CSV
+row through ``_csv_values`` and a ledger object through ``_entry_values``.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from operator import itemgetter
 from typing import TypeVar
 
 from .errors import ValidationError, above_max_count, show_int
 
 T = TypeVar("T")
-E = TypeVar("E", bound=Enum)
 
 #: Column order for defect-log CSV files.  Header row is mandatory.
 DEFECT_CSV_COLUMNS = (
@@ -77,10 +79,17 @@ class Status(str, Enum):
     DEFERRED = "deferred"
 
 
-#: Enum members by value, for the record decoder.
+#: Enum members by value, for the record decoder, and values by member,
+#: for the encoder: a dict lookup is cheaper than the ``value`` property.
 _PHASES = {phase.value: phase for phase in Phase}
 _STATUSES = {status.value: status for status in Status}
+_ENUM_VALUES = {member: member.value for member in (*Phase, *Status)}
 
+#: Module constants for the per-record checks: a global is cheaper than
+#: an attribute lookup, and an enum class's lookup most of all.
+_UNKNOWN = Phase.UNKNOWN
+_FIXED = Status.FIXED
+_UTC = timezone.utc
 _ZERO = timedelta(0)
 
 
@@ -119,7 +128,7 @@ def _is_utc(stamp: datetime) -> bool:
     return zone is timezone.utc or (zone is not None and stamp.utcoffset() == _ZERO)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DefectRecord:
     """One logged defect.
 
@@ -138,36 +147,69 @@ class DefectRecord:
     status: Status
     fix_changes: int | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: str,
+        product_id: str,
+        phase_injected: Phase,
+        phase_found: Phase,
+        found_at: datetime,
+        fixed_at: datetime | None,
+        severity: int,
+        status: Status,
+        fix_changes: int | None = None,
+    ) -> None:
+        # The generated frozen __init__ sets each field through
+        # object.__setattr__; the slots' own setters do the same work in
+        # under half the time.  Assignment still raises, as the frozen
+        # class's __setattr__ is untouched.
+        (
+            set_id, set_product_id, set_phase_injected, set_phase_found, set_found_at,
+            set_fixed_at, set_severity, set_status, set_fix_changes,
+        ) = _SLOT_SETTERS
+        set_id(self, id)
+        set_product_id(self, product_id)
+        set_phase_injected(self, phase_injected)
+        set_phase_found(self, phase_found)
+        set_found_at(self, found_at)
+        set_fixed_at(self, fixed_at)
+        set_severity(self, severity)
+        set_status(self, status)
+        set_fix_changes(self, fix_changes)
+
         problems = []
-        if not self.id:
+        if not id:
             problems.append("id must be non-empty")
-        if not self.product_id:
+        if not product_id:
             problems.append("product_id must be non-empty")
-        if self.phase_found is Phase.UNKNOWN:
+        if phase_found is _UNKNOWN:
             problems.append("phase_found may not be 'unknown'")
-        if not _is_utc(self.found_at):
+        if found_at.tzinfo is not _UTC and not _is_utc(found_at):
             problems.append("found_at must be a UTC timestamp")
         lo, hi = SEVERITY_RANGE
-        if not lo <= self.severity <= hi:
-            problems.append(f"severity must be in {lo}..{hi}, got {show_int(self.severity)}")
-        if (self.status is Status.FIXED) != (self.fixed_at is not None):
+        if not lo <= severity <= hi:
+            problems.append(f"severity must be in {lo}..{hi}, got {show_int(severity)}")
+        if (status is _FIXED) != (fixed_at is not None):
             problems.append(
-                f"status {self.status.value!r} is inconsistent with "
-                f"fixed_at {'present' if self.fixed_at else 'absent'}"
+                f"status {status.value!r} is inconsistent with "
+                f"fixed_at {'present' if fixed_at else 'absent'}"
             )
-        if self.fixed_at is not None:
-            if not _is_utc(self.fixed_at):
+        if fixed_at is not None:
+            if fixed_at.tzinfo is not _UTC and not _is_utc(fixed_at):
                 problems.append("fixed_at must be a UTC timestamp")
-            elif self.fixed_at < self.found_at:
+            elif fixed_at < found_at:
                 problems.append(
-                    f"fixed_at {format_timestamp(self.fixed_at)} is earlier than "
-                    f"found_at {format_timestamp(self.found_at)}"
+                    f"fixed_at {format_timestamp(fixed_at)} is earlier than "
+                    f"found_at {format_timestamp(found_at)}"
                 )
-        if self.fix_changes is not None and self.fix_changes < 0:
-            problems.append(f"fix_changes must be >= 0, got {show_int(self.fix_changes)}")
+        if fix_changes is not None and fix_changes < 0:
+            problems.append(f"fix_changes must be >= 0, got {show_int(fix_changes)}")
         if problems:
-            raise ValidationError(f"invalid defect record {self.id!r}", problems)
+            raise ValidationError(f"invalid defect record {id!r}", problems)
+
+
+#: Each slot's setter, in field order, for DefectRecord.__init__.
+_SLOT_SETTERS = tuple(getattr(DefectRecord, name).__set__ for name in DefectRecord.__slots__)
 
 
 @dataclass(frozen=True)
@@ -302,48 +344,62 @@ def _check_keys(entry: object, keys: frozenset[str]) -> None:
         raise ValidationError(f"unknown keys {', '.join(unknown)}")
 
 
-def _require(
-    entry: dict, key: str, kinds: tuple[type, ...], label: str, required: bool = False
-) -> object:
+def _require(entry: dict, key: str, kinds: tuple[type, ...], label: str) -> object:
     value = entry.get(key)
-    if type(value) in kinds or (value is None and not required):
+    if type(value) in kinds or value is None:
         return value
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValidationError(f"{key} must be {label}, got {value!r}")
     return value
 
 
-def _member(members: dict[str, E], text: str, column: str) -> E:
-    member = members.get(text)
-    if member is None:
-        raise ValidationError(f"unknown {column} {text!r}")
-    return member
+#: The string-typed fields, in the order the decoder checks them.
+_STRING_KEYS = ("id", "product_id", "phase_injected", "phase_found", "found_at", "status")
 
 
-def _record_from_dict(entry: object) -> DefectRecord:
-    """Decode one defect, from a ledger object or a CSV row shaped like one.
+def _is_int(value: object) -> bool:
+    # An int subclass passes, a bool does not.
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    Fields are decoded in column order, so an entry with several
-    problems reports the same first one in either form.
+
+def _record_from_values(values: Sequence) -> DefectRecord:
+    """Decode one defect from its nine values in column order, as a ledger
+    object or a CSV row gives them.
+
+    The checks run in one fixed order, so an entry with several problems
+    reports the same first one in either form: the string fields' types,
+    ``fixed_at``'s type, then each field in column order, then the
+    record's own rules.  A ``type(v) is T`` test settles the common case;
+    ``isinstance``, which also admits subclasses, runs only when it fails.
     """
-    _check_keys(entry, _DEFECT_KEYS)
-    if len(entry) < len(_DEFECT_KEYS):
-        missing = [k for k in DEFECT_CSV_COLUMNS if k not in entry]
-        raise ValidationError(f"defect entry missing keys: {', '.join(missing)}")
-    for key in ("id", "product_id", "phase_injected", "phase_found", "found_at", "status"):
-        if not isinstance(entry[key], str):
-            raise ValidationError(f"{key} must be a string, got {entry[key]!r}")
-    fixed_at = _require(entry, "fixed_at", (str,), "a string or null")
+    ident, product, injected, found, found_at, fixed_at, severity, status, changes = values
+    if not (
+        type(ident) is str and type(product) is str and type(injected) is str
+        and type(found) is str and type(found_at) is str and type(status) is str
+    ):
+        for key, value in zip(_STRING_KEYS, (ident, product, injected, found, found_at, status)):
+            if not isinstance(value, str):
+                raise ValidationError(f"{key} must be a string, got {value!r}")
+    if fixed_at is not None and not isinstance(fixed_at, str):
+        raise ValidationError(f"fixed_at must be a string or null, got {fixed_at!r}")
+    phase_injected = _PHASES.get(injected)
+    if phase_injected is None:
+        raise ValidationError(f"unknown phase_injected {injected!r}")
+    phase_found = _PHASES.get(found)
+    if phase_found is None:
+        raise ValidationError(f"unknown phase_found {found!r}")
+    found_stamp = parse_timestamp(found_at)
+    fixed_stamp = parse_timestamp(fixed_at) if fixed_at else None
+    if type(severity) is not int and not _is_int(severity):
+        raise ValidationError(f"severity must be an integer, got {severity!r}")
+    member = _STATUSES.get(status)
+    if member is None:
+        raise ValidationError(f"unknown status {status!r}")
+    if changes is not None and type(changes) is not int and not _is_int(changes):
+        raise ValidationError(f"fix_changes must be an integer or null, got {changes!r}")
     return DefectRecord(
-        id=entry["id"],
-        product_id=entry["product_id"],
-        phase_injected=_member(_PHASES, entry["phase_injected"], "phase_injected"),
-        phase_found=_member(_PHASES, entry["phase_found"], "phase_found"),
-        found_at=parse_timestamp(entry["found_at"]),
-        fixed_at=parse_timestamp(fixed_at) if fixed_at else None,
-        severity=_require(entry, "severity", (int,), "an integer", required=True),
-        status=_member(_STATUSES, entry["status"], "status"),
-        fix_changes=_require(entry, "fix_changes", (int,), "an integer or null"),
+        ident, product, phase_injected, phase_found, found_stamp, fixed_stamp,
+        severity, member, changes,
     )
 
 
@@ -351,14 +407,28 @@ def _record_to_dict(record: DefectRecord) -> dict:
     return {
         "id": record.id,
         "product_id": record.product_id,
-        "phase_injected": record.phase_injected.value,
-        "phase_found": record.phase_found.value,
+        "phase_injected": _ENUM_VALUES[record.phase_injected],
+        "phase_found": _ENUM_VALUES[record.phase_found],
         "found_at": format_timestamp(record.found_at),
         "fixed_at": format_timestamp(record.fixed_at) if record.fixed_at else None,
         "severity": record.severity,
-        "status": record.status.value,
+        "status": _ENUM_VALUES[record.status],
         "fix_changes": record.fix_changes,
     }
+
+
+#: A ledger object's values in column order.
+_column_values = itemgetter(*DEFECT_CSV_COLUMNS)
+
+
+def _entry_values(entry: object) -> tuple:
+    """A ledger object's values in column order; its keys must be exactly
+    the columns."""
+    if not isinstance(entry, dict) or entry.keys() != _DEFECT_KEYS:
+        _check_keys(entry, _DEFECT_KEYS)
+        missing = [k for k in DEFECT_CSV_COLUMNS if k not in entry]
+        raise ValidationError(f"defect entry missing keys: {', '.join(missing)}")
+    return _column_values(entry)
 
 
 def _int_or_text(text: str) -> int | str:
@@ -370,21 +440,16 @@ def _int_or_text(text: str) -> int | str:
         return text
 
 
-def _csv_entry(fields: list[str]) -> dict:
-    """A defect-log row as the ledger object it stands for: empty optional
-    cells become null and integer cells become numbers."""
+def _csv_values(fields: list[str]) -> tuple:
+    """A defect-log row's values as the ledger object it stands for would
+    give them: an empty ``fix_changes`` cell is null and integer cells are
+    numbers.  An empty ``fixed_at`` cell stays empty, which the decoder
+    reads as null, as it does an empty string in a ledger object."""
     ident, product, injected, found, found_at, fixed_at, severity, status, changes = fields
-    return {
-        "id": ident,
-        "product_id": product,
-        "phase_injected": injected,
-        "phase_found": found,
-        "found_at": found_at,
-        "fixed_at": fixed_at or None,
-        "severity": _int_or_text(severity),
-        "status": status,
-        "fix_changes": _int_or_text(changes) if changes else None,
-    }
+    return (
+        ident, product, injected, found, found_at, fixed_at,
+        _int_or_text(severity), status, _int_or_text(changes) if changes else None,
+    )
 
 
 def _admit(
@@ -414,7 +479,7 @@ def parse_defect_log(text: str) -> list[DefectRecord]:
         text,
         DEFECT_CSV_COLUMNS,
         "defect log",
-        lambda fields: _admit(_record_from_dict(_csv_entry(fields)), seen_ids),
+        lambda fields: _admit(_record_from_values(_csv_values(fields)), seen_ids),
     )
 
 
@@ -568,7 +633,7 @@ def load_ledger(text: str) -> tuple[list[ProductProfile], list[DefectRecord]]:
     records = _decode_each(
         data["defects"],
         "defects[{}]",
-        lambda e: _admit(_record_from_dict(e), seen_ids, known),
+        lambda e: _admit(_record_from_values(_entry_values(e)), seen_ids, known),
         diagnostics,
     )
     if diagnostics:

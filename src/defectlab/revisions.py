@@ -35,6 +35,10 @@ MAX_REVISIONS = 100_000
 #: are reported as censored.
 MC_CYCLE_CAP = 1000
 
+#: Most trials one Monte Carlo run may draw; at 6-16 us a trial this is
+#: a few minutes of work, and a larger count is rejected before any is.
+MAX_TRIALS = 10_000_000
+
 #: Monte Carlo trials drawn together from one seed-derived stream.
 #: Bounds the simulator's memory whatever the trial count.
 MC_BLOCK_TRIALS = 4096
@@ -250,10 +254,11 @@ def revisions_to_signoff(params: ProcessParams) -> RevisionTrajectory:
 
 @dataclass(frozen=True)
 class RevisionGrid:
-    """Forecast revision counts over a grid of rate combinations.
+    """Forecast revision counts over the published grid's rate axes.
 
     ``cells[i][j]`` is the count for ``removal_efficiencies[i]`` and
-    ``injection_rates[j]``.
+    ``injection_rates[j]``.  The axes must be the published ones, so
+    that every cell has a published count to compare against.
     """
 
     units: int
@@ -263,6 +268,13 @@ class RevisionGrid:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if (
+            self.injection_rates != DEFAULT_INJECTION_RATES
+            or self.removal_efficiencies != DEFAULT_REMOVAL_EFFICIENCIES
+        ):
+            raise ValidationError(
+                "grid axes must be the published injection rates and removal efficiencies"
+            )
         if len(self.cells) != len(self.removal_efficiencies) or any(
             len(row) != len(self.injection_rates) for row in self.cells
         ):
@@ -373,9 +385,12 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
     each block draws from its own stream derived from the seed and the
     index of the block's first trial, so a fixed (seed, trials)
     reproduces exactly and memory does not grow with the trial count.
+    More than MAX_TRIALS trials is an error.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {show_int(trials)}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be <= {MAX_TRIALS}, got {show_int(trials)}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {show_int(seed)}")
     import numpy as np  # only the Monte Carlo needs numpy; the other commands start without it

@@ -522,6 +522,10 @@ CONTRACT_CASES = {
         "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
         "--monte-carlo", "--trials", "10", "--seed", "-1",
     ],
+    "forecast --monte-carlo --trials 10^12": lambda t: [
+        "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
+        "--monte-carlo", "--trials", "1000000000000", "--seed", "1",
+    ],
     "forecast --units beyond float range": lambda t: [
         "forecast", "--units", HUGE, "--dir", "0.07", "--dre", "0.75",
     ],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import string
 from datetime import datetime, timedelta, timezone
 
@@ -372,3 +373,56 @@ class TestLedgerDocument:
     def test_malformed_document_rejected(self):
         with pytest.raises(ValidationError, match="'products' and 'defects'"):
             load_ledger('{"products": []}')
+
+
+class TestDefectRecordContract:
+    """The frozen, slotted dataclass contract that callers rely on."""
+
+    FIELDS = ("d1", "m1", Phase.BUILD, Phase.REVIEW, EPOCH, None, 2, Status.OPEN, 3)
+
+    def test_positional_keyword_and_default_construction_agree(self):
+        names = [field.name for field in dataclasses.fields(DefectRecord)]
+        positional = DefectRecord(*self.FIELDS)
+        keyword = DefectRecord(**dict(zip(names, self.FIELDS)))
+        assert positional == keyword
+        assert [getattr(positional, name) for name in names] == list(self.FIELDS)
+        assert DefectRecord(*self.FIELDS[:-1]).fix_changes is None
+
+    def test_construction_rejects_too_few_or_unknown_arguments(self):
+        with pytest.raises(TypeError):
+            DefectRecord(*self.FIELDS[:-2])
+        with pytest.raises(TypeError):
+            DefectRecord(*self.FIELDS, colour="red")
+
+    def test_assignment_and_deletion_raise(self):
+        record = DefectRecord(*self.FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.severity = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.id
+        assert record.severity == 2
+
+    def test_replace_validates(self):
+        record = DefectRecord(*self.FIELDS)
+        assert dataclasses.replace(record, severity=4).severity == 4
+        with pytest.raises(ValidationError, match="severity must be in 1..4, got 9"):
+            dataclasses.replace(record, severity=9)
+
+    def test_slotted_without_instance_dict(self):
+        record = DefectRecord(*self.FIELDS)
+        assert not hasattr(record, "__dict__")
+        assert DefectRecord.__slots__ == tuple(f.name for f in dataclasses.fields(DefectRecord))
+
+    def test_pickle_round_trips(self):
+        record = make_record(fixed_offset_h=5, fix_changes=2)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+
+    def test_equality_and_hash_follow_the_fields(self):
+        record = DefectRecord(*self.FIELDS)
+        twin = DefectRecord(*self.FIELDS)
+        other = dataclasses.replace(record, severity=3)
+        assert record == twin and hash(record) == hash(twin)
+        assert record != other
+        assert len({record, twin, other}) == 2
+        assert repr(record).startswith("DefectRecord(id='d1', product_id='m1', ")

@@ -9,7 +9,9 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from defectlab import (
     Status,
     ValidationError,
     dump_ledger,
+    ledger,
     load_ledger,
     parse_defect_log,
 )
@@ -45,8 +48,10 @@ PRODUCTS = [{"product_id": "m1", "unique_formulas": 100}]
 DROP = object()
 
 #: Changes to BASE and the diagnostics each form reports, as
-#: (change, ledger-object diagnostics, CSV-row diagnostics); None means
-#: the entry decodes.  Recorded before the decoder was last rewritten.
+#: (change, ledger-object diagnostics, CSV-row diagnostics).  None means
+#: the entry decodes to BASE's record, and a dict that it decodes to
+#: BASE's record with those fields replaced.  Recorded before the
+#: decoder was last rewritten.
 PARITY_CASES = {
     "bool severity": (
         {"severity": True},
@@ -101,6 +106,36 @@ PARITY_CASES = {
          "2004-03-01T10:00:00Z",),
         ("row 1: fixed_at 2004-03-01T09:00:00Z is earlier than found_at 2004-03-01T10:00:00Z",),
     ),
+    "non-string status and unknown phase_found": (
+        {"status": 5, "phase_found": "sideways"},
+        ("defects[0]: status must be a string, got 5",),
+        ("row 1: unknown phase_found 'sideways'",),
+    ),
+    "null found_at": (
+        {"found_at": None},
+        ("defects[0]: found_at must be a string, got None",),
+        ("row 1: invalid timestamp ''",),
+    ),
+    "list id": (
+        {"id": ["d1"]},
+        ("defects[0]: id must be a string, got ['d1']",),
+        {"id": "['d1']"},
+    ),
+    "integer phase_injected and bad severity": (
+        {"phase_injected": 3, "severity": 9},
+        ("defects[0]: phase_injected must be a string, got 3",),
+        ("row 1: unknown phase_injected '3'",),
+    ),
+    "fixed with empty fixed_at": (
+        {"fixed_at": ""},
+        ("defects[0]: status 'fixed' is inconsistent with fixed_at absent",),
+        ("row 1: status 'fixed' is inconsistent with fixed_at absent",),
+    ),
+    "bool fix_changes": (
+        {"fix_changes": True},
+        ("defects[0]: fix_changes must be an integer or null, got True",),
+        ("row 1: fix_changes must be an integer or null, got 'True'",),
+    ),
 }
 
 
@@ -130,10 +165,10 @@ def test_decoder_diagnostics_match_the_record(form, case):
     expected = ledger_diagnostics if form == "ledger object" else csv_diagnostics
     entry = {k: v for k, v in (BASE | change).items() if v is not DROP}
     encode, decode = FORMS[form]
-    if expected is None:
+    if expected is None or isinstance(expected, dict):
         (record,) = decode(encode(entry))
         (base,) = decode(encode(BASE))
-        assert record == base
+        assert record == replace(base, **(expected or {}))
         return
     with pytest.raises(ValidationError) as err:
         decode(encode(entry))
@@ -157,6 +192,43 @@ _aware = st.datetimes(
 def test_format_timestamp_matches_the_general_conversion(stamp):
     expected = stamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
     assert format_timestamp(stamp) == expected
+
+
+# -- Timestamp call counts ---------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_codec_calls_the_module_timestamp_helpers(monkeypatch):
+    """The benchmark's launcher counts timestamp calls by replacing
+    ``ledger.parse_timestamp`` and ``ledger.format_timestamp`` on the
+    module; a codec that bound them elsewhere would read zero calls."""
+    calls = {"parse_timestamp": 0, "format_timestamp": 0}
+
+    def counted(name):
+        inner = getattr(ledger, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ledger, name, counted(name))
+    text = (GOLDEN / "defects.csv").read_text(encoding="utf-8")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    stamps = len(rows) + sum(1 for row in rows if row["fixed_at"])
+    profiles = ledger.parse_product_registry(
+        (GOLDEN / "products.json").read_text(encoding="utf-8")
+    )
+
+    records = ledger.parse_defect_log(text)
+    assert calls == {"parse_timestamp": stamps, "format_timestamp": 0}
+    document = ledger.dump_ledger(profiles, records)
+    assert calls == {"parse_timestamp": stamps, "format_timestamp": stamps}
+    assert ledger.load_ledger(document)[1] == records
+    assert calls == {"parse_timestamp": 2 * stamps, "format_timestamp": stamps}
 
 
 # -- Ledger round trip --------------------------------------------------

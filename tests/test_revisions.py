@@ -29,10 +29,12 @@ from defectlab.revisions import (
     DEFAULT_INJECTION_RATES,
     DEFAULT_REMOVAL_EFFICIENCIES,
     MAX_REVISIONS,
+    MAX_TRIALS,
     MC_BLOCK_TRIALS,
     PUBLISHED_GRID_UNITS,
     PUBLISHED_REVISIONS,
     SIGNOFF_THRESHOLD,
+    RevisionGrid,
 )
 
 AUDITED = ProcessParams(units=2182, injection_rate=0.07, removal_efficiency=0.75)
@@ -332,6 +334,19 @@ class TestDivergenceReport:
         report = divergence_report(revision_table(1000))
         assert all(e["published"] is None for e in report)
 
+    def test_grid_off_the_published_axes_rejected(self):
+        with pytest.raises(ValidationError, match="grid axes must be the published"):
+            RevisionGrid(
+                units=2000, threshold=0.5, injection_rates=(0.11,),
+                removal_efficiencies=(0.2,), cells=((5,),),
+            )
+        with pytest.raises(ValidationError, match="grid axes must be the published"):
+            RevisionGrid(
+                units=2000, threshold=0.5, injection_rates=DEFAULT_INJECTION_RATES,
+                removal_efficiencies=DEFAULT_REMOVAL_EFFICIENCIES[:-1],
+                cells=((1,) * len(DEFAULT_INJECTION_RATES),) * 8,
+            )
+
 
 class TestMonteCarlo:
     def test_same_seed_reproduces_exactly(self):
@@ -370,6 +385,12 @@ class TestMonteCarlo:
     def test_trials_below_one_rejected(self):
         with pytest.raises(ValidationError, match="trials"):
             simulate_monte_carlo(AUDITED, trials=0, seed=1)
+
+    def test_trials_above_the_cap_rejected_before_any_is_drawn(self):
+        with pytest.raises(ValidationError, match=f"trials must be <= {MAX_TRIALS}, got 10000001"):
+            simulate_monte_carlo(AUDITED, trials=MAX_TRIALS + 1, seed=1)
+        with pytest.raises(ValidationError, match="got an integer of 5001 digits"):
+            simulate_monte_carlo(AUDITED, trials=10**5000, seed=1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
