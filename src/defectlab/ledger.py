@@ -17,7 +17,7 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from operator import itemgetter
@@ -99,7 +99,21 @@ def parse_timestamp(text: str) -> datetime:
     Accepts the trailing ``Z`` designator as well as ``+00:00``.  Naive
     timestamps and non-UTC offsets are rejected so that records from
     different sources always compare on the same clock.
+
+    The text first goes to ``datetime.fromisoformat`` as it stands; on
+    Python 3.11 and later that reads ``Z`` itself, and a UTC result is
+    returned at once.  Everything else (surrounding whitespace, a
+    lowercase ``z``, a rejected or non-UTC stamp, and every stamp on
+    Python 3.10) takes the path below, which strips and normalises the
+    text first.  Both paths give the same result or message.
     """
+    try:
+        stamp = datetime.fromisoformat(text)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if stamp.tzinfo is _UTC:
+            return stamp
     raw = text.strip()
     normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
@@ -210,6 +224,23 @@ class DefectRecord:
 
 #: Each slot's setter, in field order, for DefectRecord.__init__.
 _SLOT_SETTERS = tuple(getattr(DefectRecord, name).__set__ for name in DefectRecord.__slots__)
+
+
+# CPython 3.11's frozen __setattr__ and __delattr__ for a slotted class
+# test ``type(self)`` against, and call ``super()`` on, the class as it
+# was before the slots were added, so a name that is not a field ends in
+# ``TypeError: super(type, obj)``.  A record has no __dict__, so every
+# name is refused, in the dataclass's words.
+def _frozen_setattr(self: DefectRecord, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: DefectRecord, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+DefectRecord.__setattr__ = _frozen_setattr
+DefectRecord.__delattr__ = _frozen_delattr
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab import ProductProfile, dump_ledger
+from defectlab import ProductProfile, cli, dump_ledger
 from defectlab.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -407,6 +408,98 @@ class TestGrammar:
 
     def test_unknown_flag_is_a_usage_error(self, capsys):
         assert run(["forecast", "--units", "10", "--sideways"]) == EXIT_VALIDATION
+
+
+#: One argv for each way out of ``run``, with the exit code it gives.
+EXIT_PATHS = {
+    "success": (["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75"], EXIT_OK),
+    "usage error": (["forecast", "--units", "10", "--sideways"], EXIT_VALIDATION),
+    "help": (["--help"], EXIT_OK),
+    "validation error": (["forecast", "--units", "2000"], EXIT_VALIDATION),
+    "I/O error": (["metrics", "--ledger", "no-such-dir/ledger.json"], EXIT_IO),
+    "numeric error": (
+        ["forecast", "--units", "2000", "--dir", "0.07", "--dre", "0"], EXIT_NUMERIC
+    ),
+}
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture()
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    _set_collector(was_enabled)
+
+
+def _cyclic_garbage(tmp_path, rows: int) -> list[int]:
+    """Objects in reference cycles that ``ingest``, ``metrics`` and
+    ``report`` each leave unreachable, on a log of ``rows`` fixed defects.
+    The defects are found over the same 25 days whatever ``rows`` is, so
+    the arrival series keeps its length."""
+    lines = []
+    for i in range(rows):
+        found = EPOCH + timedelta(hours=i % 600)
+        lines.append(
+            f"d{i},m1,build,test,{format_timestamp(found)},"
+            f"{format_timestamp(found + timedelta(hours=5))},2,fixed,1"
+        )
+    defects = tmp_path / "defects.csv"
+    defects.write_text(_defect_csv(lines), encoding="utf-8")
+    products = tmp_path / "products.json"
+    products.write_text('[{"product_id":"m1","unique_formulas":2182}]', encoding="utf-8")
+    ledger = str(tmp_path / "ledger.json")
+    found = []
+    for argv in (
+        ["ingest", "--defects", str(defects), "--products", str(products), "--out", ledger],
+        ["metrics", "--ledger", ledger],
+        ["report", "--ledger", ledger, "--svg", str(tmp_path / "report.svg")],
+    ):
+        gc.collect()
+        gc.disable()
+        assert run(argv) == EXIT_OK
+        found.append(gc.collect())
+    return found
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("path", sorted(EXIT_PATHS))
+    def test_run_leaves_the_collector_as_it_found_it(self, collector, capsys, path, enabled):
+        argv, code = EXIT_PATHS[path]
+        _set_collector(enabled)
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+
+    def test_the_command_runs_paused_and_an_escaping_error_restores_it(
+        self, collector, monkeypatch
+    ):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("escapes run")
+
+        monkeypatch.setitem(cli._HANDLERS, "forecast", handler)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="escapes run"):
+            run(["forecast", "--units", "10"])
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_cyclic_garbage_does_not_grow_with_the_ledger(self, collector, tmp_path, capsys):
+        """The premise of the pause: what the collector would find is a
+        fixed set of objects per command, not a share of every row."""
+        _cyclic_garbage(tmp_path, 300)  # imports the modules and fills caches
+        small = _cyclic_garbage(tmp_path, 300)
+        large = _cyclic_garbage(tmp_path, 3000)
+        assert all(b <= a + 20 for a, b in zip(small, large)), (small, large)
 
 
 NOT_UTF8 = b"\xff\xfe"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import pickle
@@ -402,6 +403,17 @@ class TestDefectRecordContract:
             del record.id
         assert record.severity == 2
 
+    def test_assigning_a_name_that_is_not_a_field_raises_the_frozen_error(self):
+        record = DefectRecord(*self.FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'colour'"):
+            record.colour = 1
+        assert not hasattr(record, "colour")
+
+    def test_deleting_a_name_that_is_not_a_field_raises_the_frozen_error(self):
+        record = DefectRecord(*self.FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'colour'"):
+            del record.colour
+
     def test_replace_validates(self):
         record = DefectRecord(*self.FIELDS)
         assert dataclasses.replace(record, severity=4).severity == 4
@@ -417,6 +429,11 @@ class TestDefectRecordContract:
         record = make_record(fixed_offset_h=5, fix_changes=2)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(record, protocol)) == record
+
+    def test_copies_equal_the_original(self):
+        record = make_record(fixed_offset_h=5, fix_changes=2)
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
 
     def test_equality_and_hash_follow_the_fields(self):
         record = DefectRecord(*self.FIELDS)

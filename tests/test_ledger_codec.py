@@ -194,6 +194,126 @@ def test_format_timestamp_matches_the_general_conversion(stamp):
     assert format_timestamp(stamp) == expected
 
 
+_ZERO = timedelta(0)
+
+
+def _reference_parse_timestamp(text: str) -> datetime:
+    """``parse_timestamp`` as it was before it tried ``fromisoformat`` on
+    the raw text first: the reference for its results and messages."""
+    raw = text.strip()
+    normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
+    try:
+        stamp = datetime.fromisoformat(normalised)
+    except ValueError:
+        raise ValidationError(f"invalid timestamp {text!r}") from None
+    if stamp.tzinfo is timezone.utc:
+        return stamp
+    if stamp.tzinfo is None:
+        raise ValidationError(f"timestamp {text!r} must carry a UTC offset")
+    if stamp.utcoffset() != _ZERO:
+        raise ValidationError(f"timestamp {text!r} must be UTC, not a local offset")
+    return stamp
+
+
+def _parse_outcome(parse, text) -> tuple:
+    """What ``parse`` makes of ``text``: the stamp, its zone and its fold,
+    or the exception's type and message."""
+    try:
+        stamp = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), str(exc)
+    return stamp, stamp.tzinfo, stamp.fold
+
+
+def _digits(n: int) -> st.SearchStrategy[str]:
+    return st.integers(0, 10**n - 1).map(lambda v: f"{v:0{n}d}")
+
+
+_year = st.sampled_from(["2004", "0001", "9999", "0000"]) | _digits(4)
+_month = st.sampled_from(["01", "02", "12", "00", "13"])
+_day = st.sampled_from(["01", "28", "29", "31", "00", "32"])
+_week = st.sampled_from(["01", "52", "53", "54", "00"])
+_weekday = st.sampled_from(["1", "7", "0", "8"])
+_ordinal = st.sampled_from(["001", "059", "060", "365", "366", "367", "000"])
+_dates = st.one_of(
+    st.tuples(_year, _month, _day).map("{0[0]}-{0[1]}-{0[2]}".format),
+    st.tuples(_year, _month, _day).map("".join),
+    st.tuples(_year, _week, _weekday).map("{0[0]}-W{0[1]}-{0[2]}".format),
+    st.tuples(_year, _week, _weekday).map("{0[0]}W{0[1]}{0[2]}".format),
+    st.tuples(_year, _week).map("{0[0]}-W{0[1]}".format),
+    st.tuples(_year, _ordinal).map("{0[0]}-{0[1]}".format),
+    st.tuples(_year, _ordinal).map("".join),
+)
+_hour = st.sampled_from(["00", "10", "23", "24", "25"])
+_minute = st.sampled_from(["00", "30", "59", "60"])
+_fraction = st.just("") | st.tuples(
+    st.sampled_from([".", ","]), st.integers(1, 9).flatmap(_digits)
+).map("".join)
+_times = st.one_of(
+    _hour,
+    st.tuples(_hour, _minute).map(":".join),
+    st.tuples(_hour, _minute).map("".join),
+    st.tuples(_hour, _minute, _minute, _fraction).map("{0[0]}:{0[1]}:{0[2]}{0[3]}".format),
+    st.tuples(_hour, _minute, _minute, _fraction).map("".join),
+)
+_zone_marks = st.sampled_from([
+    "", "Z", "z", "+00:00", "-00:00", "+0000", "-0000", "+00", "+01:00", "-05:30",
+    "+00:00:00", "+00:00:00.000001", "+01:00Z", "Zz", "Z+00:00",
+])
+_separators = st.sampled_from(["T", " ", "t", "", "TT", "_"])
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", "　", "\x00"])
+_garbage = st.text(max_size=4)
+
+
+@st.composite
+def _stamp_texts(draw) -> str:
+    """Timestamp-like text built from ISO 8601 fragments, sometimes with
+    a piece missing or garbage spliced in."""
+    date = draw(_dates)
+    if draw(st.integers(0, 4)) == 0:
+        text = date
+    else:
+        text = date + draw(_separators) + draw(_times)
+    text += draw(_zone_marks)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_garbage) + text[at:]
+    return draw(_spaces) + text + draw(_spaces)
+
+
+#: Well-formed stamps at every precision, most of which parse.
+_iso_texts = st.builds(
+    lambda stamp, sep, spec, zone, lead, trail: lead + stamp.isoformat(sep, spec) + zone + trail,
+    st.datetimes(), st.sampled_from("T "),
+    st.sampled_from(["hours", "minutes", "seconds", "milliseconds", "microseconds"]),
+    _zone_marks, _spaces, _spaces,
+)
+
+
+@settings(max_examples=600)
+@given(st.one_of(_iso_texts, _stamp_texts(), st.text(max_size=30)))
+def test_parse_timestamp_matches_the_reference(text):
+    outcome = _parse_outcome(ledger.parse_timestamp, text)
+    assert outcome == _parse_outcome(_reference_parse_timestamp, text)
+    if isinstance(outcome[0], datetime):
+        assert outcome[1] is timezone.utc
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    None, 5, 1.5, ["2004-03-01T10:00:00Z"], b"2004-03-01T10:00:00Z",
+    bytearray(b"2004-03-01T10:00:00+00:00"), _Text("2004-03-01T10:00:00Z"),
+    _Text(" 2004-03-01T10:00:00z "), _Text("2004-03-01T10:00:00+02:00"),
+], ids=repr)
+def test_parse_timestamp_matches_the_reference_off_str(value):
+    assert _parse_outcome(ledger.parse_timestamp, value) == _parse_outcome(
+        _reference_parse_timestamp, value
+    )
+
+
 # -- Timestamp call counts ---------------------------------------------
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
