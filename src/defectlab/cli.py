@@ -16,7 +16,6 @@ import json
 import sys
 import warnings
 from collections.abc import Sequence
-from datetime import timedelta
 from pathlib import Path
 
 from .errors import DivergenceError, NonConvergenceError, ValidationError
@@ -56,7 +55,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_bucket_days(days: float) -> None:
-    # The upper bound is the widest bucket a timedelta can hold.
+    # The upper bound is the widest bucket a timedelta can hold.  Only
+    # the commands that bucket by days load datetime.
+    from datetime import timedelta
+
     if not 0 < days <= timedelta.max.days:
         raise ValidationError(f"--bucket-days must be within (0, {timedelta.max.days}], got {days}")
 
@@ -245,10 +247,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_fit_arrival(args: argparse.Namespace) -> int:
     from . import ledger, rayleigh
 
-    counts, inferred = ledger.parse_series(_read_text(args.series))
     bucket_days = args.bucket_days
     if bucket_days is not None:
         _check_bucket_days(bucket_days)
+    counts, inferred = ledger.parse_series(_read_text(args.series))
     if bucket_days is not None and inferred is not None:
         if abs(bucket_days - inferred) > 1e-6 * max(1.0, abs(inferred)):
             raise ValidationError(
@@ -277,8 +279,11 @@ def _cmd_fit_arrival(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from datetime import timedelta
+
     from . import charts, ledger, rayleigh
 
+    _check_bucket_days(args.bucket_days)
     profiles, records = ledger.load_ledger(_read_text(args.ledger))
     scope = "all products"
     if args.product is not None:
@@ -288,7 +293,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         scope = args.product
     if not records:
         raise ValidationError("no defect records to chart")
-    _check_bucket_days(args.bucket_days)
     series = ledger.arrival_series(records, timedelta(days=args.bucket_days))
 
     fitted = None
@@ -363,7 +367,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     CSV rows, JSON dicts and records, none of which can form a cycle, so
     each collection walks them all and frees nothing.  The few hundred
     argparse objects that do form cycles are the same for any input, and
-    are left for the collector's next run.
+    are left for the collector's next run.  The caller owns the
+    collector; ``main`` is the caller that leaves it off.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -375,4 +380,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Entry point of the ``defectlab`` script and ``python -m defectlab``.
+
+    The process ends right after the command, so no collection can free
+    anything worth the walk: ``main`` owns the collector, turns it off
+    for good, and freezes the heap before it exits.  The shutdown
+    collections ignore ``gc.disable()`` but skip frozen objects, so they
+    no longer walk the tens of thousands of objects numpy and the
+    command leave behind.  Outputs are written and closed before ``run``
+    returns, and the interpreter still flushes stdio and runs atexit
+    handlers.
+    """
+    gc.disable()
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)

@@ -9,8 +9,12 @@ it drops below a threshold (default 0.5: the expectation rounds to
 zero).  Defect arithmetic stays fractional throughout; rounding at
 each step would create absorbing states and non-monotone artifacts.
 
-A Monte Carlo companion replays the same cycle with integer defects
-and Bernoulli detection, and signs a trial off at the same threshold.
+A Monte Carlo companion replays the same cycle with integer defects,
+and signs a trial off at the same threshold.  Each review misses each
+defect present, fixes it cleanly, or fixes it and injects a new one,
+so one binomial draw per cycle gives a trial's new count; a second,
+uniform draw, made only when nothing was fixed cleanly, says whether
+the review found anything and so cost a revision.
 An inverse estimator recovers the effective removal efficiency implied
 by an observed revision count.
 """
@@ -375,13 +379,17 @@ def grid_to_json(grid: RevisionGrid) -> str:
 def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOutcome:
     """Stochastic replay of the revision cycle.
 
-    Per trial: the build injects Binomial(units, r) defects; each
-    review detects each defect independently with probability e; each
-    fix re-injects with probability r.  Sign-off once fewer than
-    ``params.threshold`` defects remain (at the default of 0.5, none
-    remain).  Revisions count the build plus every cycle that changed
-    something; reviews that find nothing cost no revision, but count
-    toward MC_CYCLE_CAP.  Trials run in blocks of MC_BLOCK_TRIALS, and
+    Per trial: the build injects Binomial(units, r) defects.  In each
+    review, each defect present is independently missed (1 - e), fixed
+    cleanly (e*(1 - r)), or fixed with a new defect injected (e*r), so
+    the count falls by one Binomial(n, e*(1 - r)) draw.  Sign-off once
+    fewer than ``params.threshold`` defects remain (at the default of
+    0.5, none remain).  Revisions count the build plus every review
+    that found something; reviews that find nothing cost no revision,
+    but count toward MC_CYCLE_CAP.  A review with a clean fix found
+    something; one without found nothing with probability
+    ((1 - e) / (1 - e*(1 - r)))^n, which one uniform draw settles for
+    those trials alone.  Trials run in blocks of MC_BLOCK_TRIALS, and
     each block draws from its own stream derived from the seed and the
     index of the block's first trial, so a fixed (seed, trials)
     reproduces exactly and memory does not grow with the trial count.
@@ -395,26 +403,40 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
         raise ValidationError(f"seed must be >= 0, got {show_int(seed)}")
     import numpy as np  # only the Monte Carlo needs numpy; the other commands start without it
 
+    e, r, threshold = params.removal_efficiency, params.injection_rate, params.threshold
+    clean = e * (1.0 - r)
+    # Given that it was not fixed cleanly, the chance that a defect was
+    # missed rather than fixed with a new defect injected.  Unused when
+    # every defect is fixed cleanly.
+    missed = (1.0 - e) / (1.0 - clean) if clean < 1.0 else 0.0
     # A trial's revision count lies in 1..1 + MC_CYCLE_CAP.
     tallies = np.zeros(MC_CYCLE_CAP + 2, dtype=np.int64)
     censored = 0
     for trial in range(0, trials, MC_BLOCK_TRIALS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         size = min(MC_BLOCK_TRIALS, trials - trial)
-        remaining = rng.binomial(params.units, params.injection_rate, size=size)
-        revisions = np.ones(size, dtype=np.int64)
-        active = np.flatnonzero(remaining >= params.threshold)
+        left = rng.binomial(params.units, r, size=size)
+        left = left[left >= threshold]
+        tallies[1] += size - left.size
+        # Open trials only; after c cycles, a trial that found nothing in
+        # `idle` of them has 1 + c - idle revisions.
+        idle = np.zeros(left.size, dtype=np.int64)
         cycles = 0
-        while active.size and cycles < MC_CYCLE_CAP:
+        while left.size and cycles < MC_CYCLE_CAP:
             cycles += 1
-            left = remaining[active]
-            found = rng.binomial(left, params.removal_efficiency)
-            left += rng.binomial(found, params.injection_rate) - found
-            remaining[active] = left
-            revisions[active] += found > 0
-            active = active[left >= params.threshold]
-        censored += active.size
-        tallies += np.bincount(revisions, minlength=tallies.size)
+            fixed = rng.binomial(left, clean)
+            # Trials with no clean fix: did the review find anything?
+            stuck = np.flatnonzero(fixed == 0)
+            idle[stuck] += rng.random(stuck.size) < missed ** left[stuck]
+            left -= fixed
+            open_ = left >= threshold
+            if not open_.all():
+                done = np.bincount(1 + cycles - idle[~open_])
+                tallies[: done.size] += done
+                left, idle = left[open_], idle[open_]
+        censored += left.size
+        done = np.bincount(1 + cycles - idle)
+        tallies[: done.size] += done
     histogram = {int(k): int(tallies[k]) for k in np.flatnonzero(tallies)}
     mean = sum(k * v for k, v in histogram.items()) / trials
     return McOutcome(

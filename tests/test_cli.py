@@ -6,8 +6,12 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,8 @@ from defectlab.ledger import format_timestamp
 from defectlab.rayleigh import expected_bucket_counts
 
 from conftest import EPOCH, make_record
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 DEFECT_HEADER = (
     "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
@@ -502,6 +508,47 @@ class TestCollectorPause:
         assert all(b <= a + 20 for a, b in zip(small, large)), (small, large)
 
 
+#: Calls ``cli.main`` once per argv of a JSON list, as the console script
+#: would, and prints the exit codes; an atexit hook then prints the
+#: collector's state as the interpreter shuts down.
+MAIN_CHILD = """
+import atexit, gc, json, sys
+from defectlab import cli
+atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count()])))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["defectlab", *argv]
+    try:
+        cli.main()
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_main_exits_with_the_collector_off_and_the_heap_frozen(capsys):
+    argvs = [
+        ["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75"],
+        ["forecast", "--units", "0", "--dir", "0.07", "--dre", "0.75"],
+    ]
+    capsys.readouterr()
+    assert [run(argv) for argv in argvs] == [EXIT_OK, EXIT_VALIDATION]
+    expected = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", MAIN_CHILD, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    *out, codes, collector = done.stdout.splitlines(keepends=True)
+    assert json.loads(codes) == [EXIT_OK, EXIT_VALIDATION]
+    assert "".join(out) == expected.out
+    assert done.stderr == expected.err
+    assert len([line for line in done.stderr.splitlines() if line.startswith("error:")]) == 1
+    enabled, frozen = json.loads(collector)
+    assert not enabled
+    assert frozen > 0
+
+
 NOT_UTF8 = b"\xff\xfe"
 LONG_FIELD = "x" * 140_000
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
@@ -660,6 +707,16 @@ CONTRACT_CASES = {
         _file(t, "series.csv", f"bucket_start,count\n0,1\n1,{HUGE}\n2,3\n"),
     ],
 }
+
+
+@pytest.mark.parametrize("command", ["report", "fit-arrival"])
+def test_bucket_days_is_checked_before_the_input_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    inputs = {"report": ["--ledger", missing, "--svg", str(tmp_path / "out.svg")],
+              "fit-arrival": ["--series", missing]}
+    assert run([command, *inputs[command], "--bucket-days", "0"]) == EXIT_VALIDATION
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith("error: --bucket-days must be within (0, ")
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

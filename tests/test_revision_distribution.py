@@ -121,13 +121,22 @@ def test_oracle_signs_off_at_build_below_the_threshold():
 
 
 @pytest.mark.parametrize(
-    ("injection_rate", "removal_efficiency", "threshold", "seed"),
-    [(0.07, 0.75, SIGNOFF_THRESHOLD, 1), (0.20, 0.30, SIGNOFF_THRESHOLD, 2), (0.20, 0.30, 20, 3)],
-    ids=["paper-rates", "slow-review", "slow-review-threshold-20"],
+    ("units", "injection_rate", "removal_efficiency", "threshold", "seed"),
+    [
+        (2182, 0.07, 0.75, SIGNOFF_THRESHOLD, 1),
+        (2182, 0.20, 0.30, SIGNOFF_THRESHOLD, 2),
+        (2182, 0.20, 0.30, 20, 3),
+        # Most reviews fix nothing cleanly, so most cycles take the
+        # sampler's second draw: did the review find anything at all?
+        (20, 0.90, 0.90, SIGNOFF_THRESHOLD, 4),
+    ],
+    ids=["paper-rates", "slow-review", "slow-review-threshold-20", "mostly-reinjected"],
 )
-def test_histogram_fits_the_exact_distribution(injection_rate, removal_efficiency, threshold, seed):
+def test_histogram_fits_the_exact_distribution(
+    units, injection_rate, removal_efficiency, threshold, seed
+):
     params = ProcessParams(
-        units=2182,
+        units=units,
         injection_rate=injection_rate,
         removal_efficiency=removal_efficiency,
         threshold=threshold,

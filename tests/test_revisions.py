@@ -31,6 +31,7 @@ from defectlab.revisions import (
     MAX_REVISIONS,
     MAX_TRIALS,
     MC_BLOCK_TRIALS,
+    MC_CYCLE_CAP,
     PUBLISHED_GRID_UNITS,
     PUBLISHED_REVISIONS,
     SIGNOFF_THRESHOLD,
@@ -377,6 +378,14 @@ class TestMonteCarlo:
         # reports revisions=1 and any trial that built defects is censored.
         assert set(outcome.histogram) == {1}
         assert outcome.censored > 0
+
+    def test_full_efficiency_and_injection_censors_every_trial_at_the_cap(self):
+        params = ProcessParams(units=5, injection_rate=1.0, removal_efficiency=1.0)
+        outcome = simulate_monte_carlo(params, trials=20, seed=1)
+        # Every review finds every defect and every fix injects a new one,
+        # so each cycle costs a revision and none signs off.
+        assert outcome.histogram == {1 + MC_CYCLE_CAP: 20}
+        assert outcome.censored == 20
 
     def test_histogram_conserves_trials(self):
         outcome = simulate_monte_carlo(AUDITED, trials=333, seed=5)
