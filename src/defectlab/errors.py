@@ -1,4 +1,4 @@
-"""Exception types and input bounds shared across the package."""
+"""Exception types, input bounds and the frozen value base shared across the package."""
 
 from __future__ import annotations
 
@@ -69,3 +69,56 @@ class DivergenceError(DefectLabError, ArithmeticError):
 
 class NonConvergenceError(DefectLabError, ArithmeticError):
     """Raised when an iterative fit fails to locate an interior optimum."""
+
+
+class Value:
+    """Base of the frozen value types, in place of ``@dataclass(frozen=True)``,
+    which would cost each command the import of ``dataclasses`` and ``inspect``.
+
+    A subclass's fields are its own annotations, in order, with its class
+    attributes as defaults.  An instance holds them as its ``__dict__``,
+    so pickle and copy need nothing more; equality, hash and ``repr`` go
+    by the class and the field values, and ``__post_init__`` validates.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls = type(self)
+        fields = cls.__match_args__
+        given = {**dict(zip(fields, args)), **kwargs}
+        if len(given) != len(args) + len(kwargs) or not given.keys() <= set(fields):
+            raise TypeError(f"{cls.__name__}() takes its fields once each: {', '.join(fields)}")
+        defaults = cls._defaults
+        try:
+            state = {name: given[name] if name in given else defaults[name] for name in fields}
+        except KeyError as exc:
+            raise TypeError(f"{cls.__name__}() missing field {exc.args[0]!r}") from None
+        object.__setattr__(self, "__dict__", state)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({shown})"
+
+    # Only misuse pays for importing dataclasses, for its error type.
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -17,13 +17,13 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import ValidationError, above_max_count, show_int
+from .errors import ValidationError, Value, above_max_count, show_int
 
 T = TypeVar("T")
 
@@ -226,25 +226,14 @@ class DefectRecord:
 _SLOT_SETTERS = tuple(getattr(DefectRecord, name).__set__ for name in DefectRecord.__slots__)
 
 
-# CPython 3.11's frozen __setattr__ and __delattr__ for a slotted class
-# test ``type(self)`` against, and call ``super()`` on, the class as it
-# was before the slots were added, so a name that is not a field ends in
-# ``TypeError: super(type, obj)``.  A record has no __dict__, so every
-# name is refused, in the dataclass's words.
-def _frozen_setattr(self: DefectRecord, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+# CPython 3.11's frozen methods for a slotted class end in ``TypeError:
+# super(type, obj)`` for a name that is not a field; a record has no
+# __dict__, so it refuses every name as every other value does.
+DefectRecord.__setattr__ = Value.__setattr__
+DefectRecord.__delattr__ = Value.__delattr__
 
 
-def _frozen_delattr(self: DefectRecord, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-DefectRecord.__setattr__ = _frozen_setattr
-DefectRecord.__delattr__ = _frozen_delattr
-
-
-@dataclass(frozen=True)
-class ProductProfile:
+class ProductProfile(Value):
     """Size and identity of one audited product.
 
     At least one size measure must be present.  Spreadsheet-style
@@ -280,8 +269,7 @@ class ProductProfile:
             raise ValidationError(f"invalid product profile {self.product_id!r}", problems)
 
 
-@dataclass(frozen=True)
-class ArrivalSeries:
+class ArrivalSeries(Value):
     """Defect discoveries bucketed onto a uniform time grid.
 
     ``counts[i]`` holds the number of defects found in
@@ -581,15 +569,16 @@ def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
     if product_id is None:
         raise ValidationError("product_id is required")
     kloc = _require(entry, "kloc", (int, float), "a number")
-    profile = ProductProfile(
+    fields = dict(
         product_id=product_id,
         unique_formulas=_require(entry, "unique_formulas", (int,), "an integer"),
         kloc=kloc,
         function_points=_require(entry, "function_points", (int,), "an integer"),
         description=_require(entry, "description", (str,), "a string") or "",
     )
+    profile = ProductProfile(**fields)
     if isinstance(kloc, int):  # held to the count ceiling, so exact as a float
-        profile = replace(profile, kloc=float(kloc))
+        profile = ProductProfile(**{**fields, "kloc": float(kloc)})
     if profile.product_id in seen:
         raise ValidationError(f"duplicate product_id {profile.product_id!r}")
     seen.add(profile.product_id)

@@ -13,10 +13,9 @@ import io
 import json
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from datetime import timedelta
 
-from .errors import ValidationError, above_max_count, show_int
+from .errors import ValidationError, Value, above_max_count, show_int
 from .ledger import DefectRecord, ProductProfile, Status
 
 #: Field order for MetricsSummary serialization (JSON and CSV).
@@ -41,8 +40,7 @@ INJECTION_RATE_BASIS = (
 DEFAULT_RATE_WINDOW = timedelta(days=7)
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(Value):
     """Computed quality metrics for one product.
 
     Optional fields are None when their inputs were absent (for

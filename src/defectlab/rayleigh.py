@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ValidationError, show_int
+from .errors import NonConvergenceError, ValidationError, Value, show_int
 
 #: Fraction of lifetime defects discovered by t = sigma: 1 - e^(-1/2).
 PEAK_FRACTION = 1.0 - math.exp(-0.5)
@@ -34,8 +33,7 @@ SIGMA_SPAN_FACTOR = 3.0
 DEFAULT_REL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RayleighFit:
+class RayleighFit(Value):
     """Fitted arrival model.
 
     ``sigma`` is the peak-discovery time in bucket units; ``k_total``

@@ -24,9 +24,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import DivergenceError, ValidationError, above_max_count, show_int
+from .errors import DivergenceError, ValidationError, Value, above_max_count, show_int
 
 #: Expected residual defects below which a product is signed off.
 SIGNOFF_THRESHOLD = 0.5
@@ -105,8 +104,7 @@ def _check_threshold(threshold: float, problems: list[str]) -> None:
         problems.append(f"threshold must be >= {sys.float_info.min}, got {threshold}")
 
 
-@dataclass(frozen=True)
-class ProcessParams:
+class ProcessParams(Value):
     """Inputs of the revision recurrence.
 
     Rates are fractions, not percentages.  Both rates admit their
@@ -130,8 +128,7 @@ class ProcessParams:
             raise ValidationError("invalid process parameters", problems)
 
 
-@dataclass(frozen=True)
-class RevisionTrajectory:
+class RevisionTrajectory(Value):
     """Expected defect counts per revision, ending below threshold.
 
     ``expected_defects[0]`` is the count injected by the initial
@@ -164,8 +161,7 @@ class RevisionTrajectory:
             raise ValidationError("invalid revision trajectory", problems)
 
 
-@dataclass(frozen=True)
-class McOutcome:
+class McOutcome(Value):
     """Result of a Monte Carlo revision simulation.
 
     Histogram frequencies always sum to the trial count; trials that
@@ -256,8 +252,7 @@ def revisions_to_signoff(params: ProcessParams) -> RevisionTrajectory:
     )
 
 
-@dataclass(frozen=True)
-class RevisionGrid:
+class RevisionGrid(Value):
     """Forecast revision counts over the published grid's rate axes.
 
     ``cells[i][j]`` is the count for ``removal_efficiencies[i]`` and

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
-from .errors import ValidationError, above_max_count, show_int
+from .errors import ValidationError, Value, above_max_count, show_int
 
 #: Intercept of the default linear model, in issues.
 DEFAULT_LINEAR_INTERCEPT = 62.0
@@ -40,8 +39,7 @@ class NegativeInterceptWarning(UserWarning):
     """
 
 
-@dataclass(frozen=True)
-class LinearSizeModel:
+class LinearSizeModel(Value):
     """issues = intercept + slope * uf"""
 
     intercept: float
@@ -54,8 +52,7 @@ class LinearSizeModel:
             raise ValidationError(f"slope must be >= 0, got {self.slope}")
 
 
-@dataclass(frozen=True)
-class SqrtSizeModel:
+class SqrtSizeModel(Value):
     """issues = coefficient * sqrt(uf)"""
 
     coefficient: float
@@ -65,8 +62,7 @@ class SqrtSizeModel:
             raise ValidationError(f"coefficient must be >= 0, got {self.coefficient}")
 
 
-@dataclass(frozen=True)
-class SizePoint:
+class SizePoint(Value):
     """One observed (unique formulas, issues) pair."""
 
     uf: int

@@ -1,0 +1,169 @@
+"""The frozen value types keep a frozen dataclass's contract.
+
+Each type derives from ``errors.Value`` instead of using
+``@dataclass(frozen=True)``.  Each is checked here against a reference
+that ``dataclasses.make_dataclass`` builds from the same fields and
+defaults, which are spelled out below rather than read from the class.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+from datetime import datetime, timedelta, timezone
+
+import pytest
+
+from defectlab.errors import ValidationError
+from defectlab.ledger import ArrivalSeries, ProductProfile
+from defectlab.metrics import MetricsSummary
+from defectlab.rayleigh import RayleighFit
+from defectlab.revisions import (
+    DEFAULT_INJECTION_RATES,
+    DEFAULT_REMOVAL_EFFICIENCIES,
+    McOutcome,
+    ProcessParams,
+    RevisionGrid,
+    RevisionTrajectory,
+)
+from defectlab.sizing import LinearSizeModel, SizePoint, SqrtSizeModel
+
+PARAMS = ProcessParams(10, 0.1, 0.5)
+CELLS = tuple(tuple(range(1, 9)) for _ in DEFAULT_REMOVAL_EFFICIENCIES)
+
+#: For each type: its fields in order, as (name, example value); the
+#: defaults of the fields that have one; and one (field, value) that
+#: its validation refuses.
+CASES = [
+    (
+        ProductProfile,
+        [("product_id", "m1"), ("unique_formulas", 2182), ("kloc", 12.5),
+         ("function_points", None), ("description", "")],
+        {"unique_formulas": None, "kloc": None, "function_points": None, "description": ""},
+        ("kloc", -1.0),
+    ),
+    (
+        ArrivalSeries,
+        [("origin", datetime(2004, 3, 1, tzinfo=timezone.utc)),
+         ("bucket_width", timedelta(days=7)), ("counts", (3, 5, 2))],
+        {},
+        ("bucket_width", timedelta(0)),
+    ),
+    (
+        MetricsSummary,
+        [("product_id", "m1"), ("defect_count", 151), ("density_per_uf", 0.07),
+         ("density_per_kloc", None), ("injection_rate", 0.07), ("removal_efficiency", None),
+         ("removal_rate", 2.5)],
+        {"density_per_uf": None, "density_per_kloc": None, "injection_rate": None,
+         "removal_efficiency": None, "removal_rate": None},
+        ("defect_count", -1),
+    ),
+    (
+        RayleighFit,
+        [("k_total", 120.0), ("sigma", 6.5), ("sse", 14.25), ("buckets_used", 12)],
+        {},
+        ("buckets_used", 2),
+    ),
+    (
+        ProcessParams,
+        [("units", 2182), ("injection_rate", 0.07), ("removal_efficiency", 0.75),
+         ("threshold", 0.5)],
+        {"threshold": 0.5},
+        ("injection_rate", 1.5),
+    ),
+    (
+        RevisionTrajectory,
+        [("params", PARAMS), ("revisions", 3), ("expected_defects", (1.0, 0.55, 0.3025))],
+        {},
+        ("revisions", 4),
+    ),
+    (
+        McOutcome,
+        [("trials", 3), ("seed", 7), ("mean_revisions", 5.0), ("histogram", {4: 1, 5: 1, 6: 1}),
+         ("censored", 0)],
+        {"censored": 0},
+        ("censored", 4),
+    ),
+    (
+        RevisionGrid,
+        [("units", 2000), ("threshold", 0.5), ("injection_rates", DEFAULT_INJECTION_RATES),
+         ("removal_efficiencies", DEFAULT_REMOVAL_EFFICIENCIES), ("cells", CELLS)],
+        {},
+        ("cells", CELLS[1:]),
+    ),
+    (LinearSizeModel, [("intercept", 62.0), ("slope", 0.0408)], {}, ("slope", -1.0)),
+    (SqrtSizeModel, [("coefficient", 2.6)], {}, ("coefficient", -1.0)),
+    (SizePoint, [("uf", 2182), ("issues", 151)], {}, ("issues", -1)),
+]
+
+
+def _hash(value: object) -> object:
+    try:
+        return hash(value)
+    except TypeError as exc:  # McOutcome holds a dict
+        return str(exc)
+
+
+@pytest.mark.parametrize(("cls", "fields", "defaults", "bad"), CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_value_type_keeps_the_frozen_dataclass_contract(cls, fields, defaults, bad):
+    reference = dataclasses.make_dataclass(
+        cls.__name__,
+        [(name, object, dataclasses.field(default=defaults[name])) if name in defaults
+         else (name, object) for name, _ in fields],
+        frozen=True,
+    )
+    names = [name for name, _ in fields]
+    values = [value for _, value in fields]
+    kwargs = dict(fields)
+    # Default construction leaves out each field whose example is its default.
+    given = {name: value for name, value in fields
+             if name not in defaults or defaults[name] != value}
+    assert len(given) < len(fields) or not defaults
+    assert cls.__match_args__ == reference.__match_args__ == tuple(names)
+
+    # Construction: positional, keyword and default agree with the reference.
+    for build in (lambda c: c(*values), lambda c: c(**kwargs), lambda c: c(**given)):
+        value, expected = build(cls), build(reference)
+        assert repr(value) == repr(expected)
+        assert value == cls(*values)
+        assert expected == reference(*values)
+        assert _hash(value) == _hash(expected)
+        assert [getattr(value, name) for name in names] == values
+        assert list(value.__dict__.items()) == fields
+    value = cls(*values)
+    assert value.__eq__(reference(*values)) is NotImplemented
+    assert value != reference(*values)
+    if isinstance(values[0], str):
+        assert cls(**{**kwargs, names[0]: values[0] + "x"}) != value
+
+    # A missing, unknown, repeated or extra argument.
+    with pytest.raises(TypeError):
+        cls(**{name: v for name, v in kwargs.items() if name != names[0]})
+    with pytest.raises(TypeError):
+        cls(*values, colour="red")
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+    # Frozen, for a field and for a name that is not one.
+    for name in (names[-1], "colour"):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert value == cls(*values)
+
+    # Pickle at every protocol, copy and deepcopy.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+
+    # Validation still runs on construction.
+    with pytest.raises(ValidationError):
+        cls(**{**kwargs, bad[0]: bad[1]})
