@@ -79,11 +79,18 @@ class Value:
     attributes as defaults.  An instance holds them as its ``__dict__``,
     so pickle and copy need nothing more; equality, hash and ``repr`` go
     by the class and the field values, and ``__post_init__`` validates.
+    A subclass may instead declare its fields as ``__slots__`` and write
+    its own ``__init__`` and ``__reduce__``; the rest applies unchanged.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        slots = cls.__dict__.get("__slots__", ())
+        cls._defaults = {
+            name: cls.__dict__[name] for name in fields if name in cls.__dict__ and name not in slots
+        }
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         cls = type(self)
@@ -102,16 +109,22 @@ class Value:
     def __post_init__(self) -> None:
         pass
 
+    def _values(self) -> tuple:
+        """The field values in order, from slots or ``__dict__`` alike."""
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        shown = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values())
+        )
         return f"{type(self).__qualname__}({shown})"
 
     # Only misuse pays for importing dataclasses, for its error type.

@@ -17,7 +17,6 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from operator import itemgetter
@@ -142,14 +141,18 @@ def _is_utc(stamp: datetime) -> bool:
     return zone is timezone.utc or (zone is not None and stamp.utcoffset() == _ZERO)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DefectRecord:
+class DefectRecord(Value):
     """One logged defect.
 
     ``fixed_at`` is present exactly when ``status`` is FIXED; a record
     cannot be fixed before it was found.  ``fix_changes`` counts the
     cells or components touched by the fix, when that was recorded.
+
+    The fields are slots, in column order, so a record has no
+    ``__dict__``; ``fix_changes`` defaults to None in ``__init__``.
     """
+
+    __slots__ = DEFECT_CSV_COLUMNS
 
     id: str
     product_id: str
@@ -159,7 +162,7 @@ class DefectRecord:
     fixed_at: datetime | None
     severity: int
     status: Status
-    fix_changes: int | None = None
+    fix_changes: int | None
 
     def __init__(
         self,
@@ -173,10 +176,9 @@ class DefectRecord:
         status: Status,
         fix_changes: int | None = None,
     ) -> None:
-        # The generated frozen __init__ sets each field through
-        # object.__setattr__; the slots' own setters do the same work in
-        # under half the time.  Assignment still raises, as the frozen
-        # class's __setattr__ is untouched.
+        # The slots' own setters fill the fields in under half the time
+        # of object.__setattr__.  Assignment still raises, through
+        # Value.__setattr__.
         (
             set_id, set_product_id, set_phase_injected, set_phase_found, set_found_at,
             set_fixed_at, set_severity, set_status, set_fix_changes,
@@ -221,16 +223,13 @@ class DefectRecord:
         if problems:
             raise ValidationError(f"invalid defect record {id!r}", problems)
 
+    def __reduce__(self) -> tuple:
+        # Pickle and copy rebuild the record through __init__, which validates.
+        return type(self), self._values()
+
 
 #: Each slot's setter, in field order, for DefectRecord.__init__.
 _SLOT_SETTERS = tuple(getattr(DefectRecord, name).__set__ for name in DefectRecord.__slots__)
-
-
-# CPython 3.11's frozen methods for a slotted class end in ``TypeError:
-# super(type, obj)`` for a name that is not a field; a record has no
-# __dict__, so it refuses every name as every other value does.
-DefectRecord.__setattr__ = Value.__setattr__
-DefectRecord.__delattr__ = Value.__delattr__
 
 
 class ProductProfile(Value):

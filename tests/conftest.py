@@ -36,6 +36,13 @@ def make_record(
     )
 
 
+def with_fields(record: DefectRecord, **changes: object) -> DefectRecord:
+    """The record with some fields changed, built by the constructor,
+    which validates the result."""
+    fields = {name: getattr(record, name) for name in DefectRecord.__match_args__}
+    return DefectRecord(**(fields | changes))
+
+
 @pytest.fixture
 def audited_profile() -> ProductProfile:
     return ProductProfile(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EPOCH, make_record
+from conftest import EPOCH, make_record, with_fields
 from defectlab import (
     ArrivalSeries,
     DefectRecord,
@@ -194,7 +194,7 @@ class TestRoundTrip:
     @given(st.lists(_records(), max_size=10))
     def test_serialize_then_parse_is_identity(self, records):
         records = [
-            dataclasses.replace(r, id=f"{r.id}-{i}") for i, r in enumerate(records)
+            with_fields(r, id=f"{r.id}-{i}") for i, r in enumerate(records)
         ]
         assert parse_defect_log(serialize_defect_log(records)) == records
 
@@ -377,12 +377,12 @@ class TestLedgerDocument:
 
 
 class TestDefectRecordContract:
-    """The frozen, slotted dataclass contract that callers rely on."""
+    """The frozen, slotted value contract that callers rely on."""
 
     FIELDS = ("d1", "m1", Phase.BUILD, Phase.REVIEW, EPOCH, None, 2, Status.OPEN, 3)
 
     def test_positional_keyword_and_default_construction_agree(self):
-        names = [field.name for field in dataclasses.fields(DefectRecord)]
+        names = DefectRecord.__match_args__
         positional = DefectRecord(*self.FIELDS)
         keyword = DefectRecord(**dict(zip(names, self.FIELDS)))
         assert positional == keyword
@@ -415,15 +415,16 @@ class TestDefectRecordContract:
             del record.colour
 
     def test_replace_validates(self):
+        # Construction with a changed field validates.
         record = DefectRecord(*self.FIELDS)
-        assert dataclasses.replace(record, severity=4).severity == 4
+        assert with_fields(record, severity=4).severity == 4
         with pytest.raises(ValidationError, match="severity must be in 1..4, got 9"):
-            dataclasses.replace(record, severity=9)
+            with_fields(record, severity=9)
 
     def test_slotted_without_instance_dict(self):
         record = DefectRecord(*self.FIELDS)
         assert not hasattr(record, "__dict__")
-        assert DefectRecord.__slots__ == tuple(f.name for f in dataclasses.fields(DefectRecord))
+        assert DefectRecord.__slots__ == DefectRecord.__match_args__
 
     def test_pickle_round_trips(self):
         record = make_record(fixed_offset_h=5, fix_changes=2)
@@ -438,7 +439,7 @@ class TestDefectRecordContract:
     def test_equality_and_hash_follow_the_fields(self):
         record = DefectRecord(*self.FIELDS)
         twin = DefectRecord(*self.FIELDS)
-        other = dataclasses.replace(record, severity=3)
+        other = with_fields(record, severity=3)
         assert record == twin and hash(record) == hash(twin)
         assert record != other
         assert len({record, twin, other}) == 2

@@ -9,7 +9,6 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_fields
 from defectlab import (
     DefectRecord,
     Phase,
@@ -168,7 +168,7 @@ def test_decoder_diagnostics_match_the_record(form, case):
     if expected is None or isinstance(expected, dict):
         (record,) = decode(encode(entry))
         (base,) = decode(encode(BASE))
-        assert record == replace(base, **(expected or {}))
+        assert record == with_fields(base, **(expected or {}))
         return
     with pytest.raises(ValidationError) as err:
         decode(encode(entry))

@@ -119,10 +119,10 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     for name, modules in loaded.items():
         assert not NEVER_LOADED & modules, name
     for name in ("forecast", "forecast --table", "estimate --uf"):
-        assert not {"defectlab.ledger", "csv", "datetime", "dataclasses", "inspect"} & loaded[
-            name
-        ], name
-    # numpy loads inspect, but no value type needs dataclasses.
+        assert not {"defectlab.ledger", "csv", "datetime"} & loaded[name], name
+    # No value type needs dataclasses, and only numpy loads inspect.
+    for name in NUMPY_FREE:
+        assert not {"dataclasses", "inspect"} & loaded[name], name
     assert "dataclasses" not in loaded["forecast --monte-carlo"]
 
 

@@ -4,6 +4,8 @@ Each type derives from ``errors.Value`` instead of using
 ``@dataclass(frozen=True)``.  Each is checked here against a reference
 that ``dataclasses.make_dataclass`` builds from the same fields and
 defaults, which are spelled out below rather than read from the class.
+``DefectRecord`` keeps its fields in slots, so its reference is a
+slotted frozen dataclass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from defectlab.errors import ValidationError
-from defectlab.ledger import ArrivalSeries, ProductProfile
+from defectlab.ledger import ArrivalSeries, DefectRecord, Phase, ProductProfile, Status
 from defectlab.metrics import MetricsSummary
 from defectlab.rayleigh import RayleighFit
 from defectlab.revisions import (
@@ -30,12 +32,22 @@ from defectlab.revisions import (
 from defectlab.sizing import LinearSizeModel, SizePoint, SqrtSizeModel
 
 PARAMS = ProcessParams(10, 0.1, 0.5)
+FOUND = datetime(2004, 3, 1, tzinfo=timezone.utc)
 CELLS = tuple(tuple(range(1, 9)) for _ in DEFAULT_REMOVAL_EFFICIENCIES)
 
 #: For each type: its fields in order, as (name, example value); the
 #: defaults of the fields that have one; and one (field, value) that
 #: its validation refuses.
 CASES = [
+    (
+        DefectRecord,
+        [("id", "d1"), ("product_id", "m1"), ("phase_injected", Phase.BUILD),
+         ("phase_found", Phase.REVIEW), ("found_at", FOUND),
+         ("fixed_at", FOUND + timedelta(hours=5)), ("severity", 2), ("status", Status.FIXED),
+         ("fix_changes", None)],
+        {"fix_changes": None},
+        ("severity", 9),
+    ),
     (
         ProductProfile,
         [("product_id", "m1"), ("unique_formulas", 2182), ("kloc", 12.5),
@@ -108,11 +120,13 @@ def _hash(value: object) -> object:
 @pytest.mark.parametrize(("cls", "fields", "defaults", "bad"), CASES,
                          ids=[case[0].__name__ for case in CASES])
 def test_value_type_keeps_the_frozen_dataclass_contract(cls, fields, defaults, bad):
+    slotted = "__slots__" in cls.__dict__
     reference = dataclasses.make_dataclass(
         cls.__name__,
         [(name, object, dataclasses.field(default=defaults[name])) if name in defaults
          else (name, object) for name, _ in fields],
         frozen=True,
+        slots=slotted,
     )
     names = [name for name, _ in fields]
     values = [value for _, value in fields]
@@ -131,7 +145,11 @@ def test_value_type_keeps_the_frozen_dataclass_contract(cls, fields, defaults, b
         assert expected == reference(*values)
         assert _hash(value) == _hash(expected)
         assert [getattr(value, name) for name in names] == values
-        assert list(value.__dict__.items()) == fields
+        if slotted:
+            assert cls.__slots__ == tuple(names)
+            assert not hasattr(value, "__dict__")
+        else:
+            assert list(value.__dict__.items()) == fields
     value = cls(*values)
     assert value.__eq__(reference(*values)) is NotImplemented
     assert value != reference(*values)
