@@ -87,10 +87,7 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = fields = tuple(cls.__dict__.get("__annotations__", ()))
-        slots = cls.__dict__.get("__slots__", ())
-        cls._defaults = {
-            name: cls.__dict__[name] for name in fields if name in cls.__dict__ and name not in slots
-        }
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         cls = type(self)

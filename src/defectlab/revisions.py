@@ -46,12 +46,6 @@ MAX_TRIALS = 10_000_000
 #: Bounds the simulator's memory whatever the trial count.
 MC_BLOCK_TRIALS = 4096
 
-#: A uniform draw is a multiple of 2**-53, so only a draw of 0.0 is
-#: below a power of the miss chance that is below 2**-53.  The cut-off
-#: is half that, because numpy's array power can differ from the scalar
-#: one, which finds the cut-off exponent, in the last bits.
-_MC_TINY = 2.0**-54
-
 #: Axes of the published reference grid, as fractions.
 DEFAULT_INJECTION_RATES = (0.03, 0.04, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30)
 DEFAULT_REMOVAL_EFFICIENCIES = (0.20, 0.25, 0.30, 0.35, 0.40, 0.50, 0.60, 0.80, 1.00)
@@ -410,7 +404,6 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
     # missed rather than fixed with a new defect injected.  Unused when
     # every defect is fixed cleanly.
     missed = (1.0 - e) / (1.0 - clean) if clean < 1.0 else 0.0
-    tiny = _tiny_power_exponent(missed, params.units)
     # A trial's revision count lies in 1..1 + MC_CYCLE_CAP.
     tallies = np.zeros(MC_CYCLE_CAP + 2, dtype=np.int64)
     censored = 0
@@ -429,7 +422,7 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
             fixed = rng.binomial(left, clean)
             # Trials with no clean fix: did the review find anything?
             stuck = np.flatnonzero(fixed == 0)
-            idle[stuck] += _found_nothing(rng.random(stuck.size), left[stuck], missed, tiny)
+            idle[stuck] += rng.random(stuck.size) < missed ** left[stuck]
             left -= fixed
             open_ = left >= threshold
             if not open_.all():
@@ -444,37 +437,6 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
     return McOutcome(
         trials=trials, seed=seed, mean_revisions=mean, histogram=histogram, censored=censored
     )
-
-
-def _tiny_power_exponent(base: float, most: int) -> int:
-    """Smallest n <= most with base ** n < _MC_TINY, or most + 1 if there
-    is none; a bisection on the scalar power, which falls as n grows."""
-    lo, hi = 0, most + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if base**mid < _MC_TINY:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _found_nothing(u, left, missed: float, tiny: int):
-    """``u < missed ** left`` for each stuck trial, from its uniform draw
-    and its defect count, with ``tiny`` from ``_tiny_power_exponent``.
-
-    From ``tiny`` defects up, the power is below every draw but 0.0, and
-    numpy takes 10-20 times longer for it where it underflows.  So those
-    trials compare their draw with the power at ``tiny`` instead, and a
-    draw of 0.0, once in 2**53, with its own power, which may be 0.0.
-    """
-    import numpy as np
-
-    hit = u < missed ** np.minimum(left, tiny)
-    if not u.all():
-        zero = u == 0.0
-        hit[zero] = missed ** left[zero] > 0.0
-    return hit
 
 
 def infer_efficiency(

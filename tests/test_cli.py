@@ -230,41 +230,6 @@ class TestForecast:
         assert payload["trials"] == 100
         assert sum(payload["histogram"].values()) == 100
 
-    def test_monte_carlo_across_the_tiny_power_cut_off(self, capsys, monkeypatch):
-        # At these rates the stuck trials hold from 1 to about 90 defects,
-        # on both sides of the exponent from which missed ** n < 2**-54.
-        # The histogram was recorded from the sampler that took the power
-        # for every stuck trial.
-        from defectlab import revisions
-
-        decide = revisions._found_nothing
-        exponents = []
-
-        def found_nothing(u, left, missed, tiny):
-            if left.size:
-                exponents.append((int(left.min()), int(left.max()), tiny))
-            return decide(u, left, missed, tiny)
-
-        monkeypatch.setattr(revisions, "_found_nothing", found_nothing)
-        argv = [
-            "forecast", "--units", "100", "--dir", "0.9", "--dre", "0.9",
-            "--monte-carlo", "--trials", "200", "--seed", "7",
-        ]
-        assert run(argv) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["histogram"] == {
-            "28": 1, "35": 2, "36": 1, "37": 4, "38": 3, "39": 6, "40": 4, "41": 8, "42": 4,
-            "43": 6, "44": 4, "45": 12, "46": 6, "47": 6, "48": 6, "49": 5, "50": 7, "51": 9,
-            "52": 6, "53": 14, "54": 9, "55": 3, "56": 8, "57": 8, "58": 3, "59": 7, "60": 3,
-            "61": 3, "62": 4, "63": 1, "64": 4, "65": 3, "66": 3, "67": 3, "69": 1, "70": 5,
-            "72": 3, "73": 1, "74": 3, "76": 1, "77": 1, "78": 2, "79": 1, "81": 1, "85": 1,
-            "89": 1, "90": 1, "95": 1, "96": 1,
-        }
-        assert payload["mean_revisions"] == 53.67
-        assert payload["censored"] == 0
-        (tiny,) = {tiny for _, _, tiny in exponents}
-        assert min(lo for lo, _, _ in exponents) < tiny < max(hi for _, hi, _ in exponents)
-
     def test_non_integer_units_rejected_by_the_grammar(self, capsys):
         assert run(["forecast", "--units", "lots", "--table"]) == EXIT_VALIDATION
         assert "invalid int value" in capsys.readouterr().err

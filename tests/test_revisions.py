@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,8 +36,6 @@ from defectlab.revisions import (
     PUBLISHED_REVISIONS,
     SIGNOFF_THRESHOLD,
     RevisionGrid,
-    _found_nothing,
-    _tiny_power_exponent,
 )
 
 AUDITED = ProcessParams(units=2182, injection_rate=0.07, removal_efficiency=0.75)
@@ -412,30 +409,6 @@ class TestMonteCarlo:
         outcome = simulate_monte_carlo(AUDITED, trials=1, seed=4)
         assert sum(outcome.histogram.values()) == 1
         assert outcome == simulate_monte_carlo(AUDITED, trials=1, seed=4)
-
-    @pytest.mark.parametrize("missed", [0.65, 0.1 / 0.91, 0.5, 0.999, 0.0, 1.0])
-    def test_found_nothing_is_the_power_comparison(self, missed):
-        rng = np.random.default_rng(11)
-        most = 3000
-        tiny = _tiny_power_exponent(missed, most)
-        assert missed**tiny < 2.0**-54 <= missed ** (tiny - 1) or tiny > most
-        left = np.arange(1, most + 1)
-        power = missed**left
-        u = rng.random(left.size)
-        # Draws of exactly 0.0, and the smallest nonzero ones, on every
-        # side of both cut-offs: 2**-53 and the first power of 0.0.
-        below = np.flatnonzero(power < 2.0**-53)
-        zero = np.flatnonzero(power == 0.0)
-        for picks in (np.flatnonzero(power >= 2.0**-53), below, zero):
-            for at in (picks[:3], picks[-3:], picks[len(picks) // 2:][:3]):
-                u[at[:2]] = 0.0
-                u[at[2:]] = 2.0**-53
-        if missed == 0.65:
-            assert below.size > zero.size > 0 and (power[below] > 0.0).any()
-        assert (u == 0.0).sum() >= 4
-        for order in (slice(None), rng.permutation(left.size)):
-            expected = u[order] < power[order]
-            assert (_found_nothing(u[order], left[order], missed, tiny) == expected).all()
 
     @pytest.mark.parametrize(
         "trials",
