@@ -16,7 +16,6 @@ _PUBLIC = {
     "cli": ("run",),
     "errors": ("DefectLabError", "DivergenceError", "NonConvergenceError", "ValidationError"),
     "ledger": (
-        "ArrivalSeries",
         "DefectRecord",
         "Phase",
         "ProductProfile",

@@ -284,6 +284,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from . import charts, ledger, rayleigh
 
     _check_bucket_days(args.bucket_days)
+    width = timedelta(days=args.bucket_days)
+    if not width:  # a timedelta holds whole microseconds
+        raise ValidationError(f"--bucket-days {args.bucket_days} rounds to a zero-width bucket")
     profiles, records = ledger.load_ledger(_read_text(args.ledger))
     scope = "all products"
     if args.product is not None:
@@ -293,15 +296,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
         scope = args.product
     if not records:
         raise ValidationError("no defect records to chart")
-    series = ledger.arrival_series(records, timedelta(days=args.bucket_days))
+    counts = ledger.arrival_series(records, width)
 
     fitted = None
     fit_payload = None
     fit_note = None
-    if len(series.counts) >= 3:
+    if len(counts) >= 3:
         try:
-            fit = rayleigh.fit_arrival(series.counts)
-            fitted = rayleigh.expected_bucket_counts(fit.k_total, fit.sigma, len(series.counts))
+            fit = rayleigh.fit_arrival(counts)
+            fitted = rayleigh.expected_bucket_counts(fit.k_total, fit.sigma, len(counts))
             fit_payload = {
                 "k_total": fit.k_total,
                 "sigma": fit.sigma,
@@ -314,11 +317,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         fit_note = "too few buckets for an arrival fit (need 3)"
 
-    svg = charts.arrival_chart(series.counts, fitted, title=f"Defect arrivals: {scope}")
+    svg = charts.arrival_chart(counts, fitted, title=f"Defect arrivals: {scope}")
     _write_text(args.svg, svg)
     print(json.dumps({
         "defects": len(records),
-        "buckets": len(series.counts),
+        "buckets": len(counts),
         "bucket_days": args.bucket_days,
         "fit": fit_payload,
         "fit_note": fit_note,

@@ -268,25 +268,6 @@ class ProductProfile(Value):
             raise ValidationError(f"invalid product profile {self.product_id!r}", problems)
 
 
-class ArrivalSeries(Value):
-    """Defect discoveries bucketed onto a uniform time grid.
-
-    ``counts[i]`` holds the number of defects found in
-    ``[origin + i*bucket_width, origin + (i+1)*bucket_width)``.  A
-    series built from zero records has empty counts.
-    """
-
-    origin: datetime
-    bucket_width: timedelta
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.bucket_width <= timedelta(0):
-            raise ValidationError(f"bucket_width must be positive, got {self.bucket_width}")
-        if any(c < 0 for c in self.counts):
-            raise ValidationError("arrival counts must be >= 0")
-
-
 def read_csv_table(
     text: str, columns: tuple[str, ...], what: str, decode: Callable[[list[str]], T]
 ) -> list[T]:
@@ -660,18 +641,19 @@ def load_ledger(text: str) -> tuple[list[ProductProfile], list[DefectRecord]]:
     return profiles, records
 
 
-def arrival_series(records: Sequence[DefectRecord], bucket_width: timedelta) -> ArrivalSeries:
+def arrival_series(records: Sequence[DefectRecord], bucket_width: timedelta) -> tuple[int, ...]:
     """Bucket defect discovery times onto a uniform grid.
 
-    The grid starts at the earliest ``found_at`` (at the Unix epoch for
-    no records).  A grid of more than :data:`MAX_BUCKETS` buckets is an
-    error.  The counts always sum to the number of records.
+    Count ``i`` is the number of defects found in
+    ``[origin + i*bucket_width, origin + (i+1)*bucket_width)``, where
+    ``origin`` is the earliest ``found_at``; no records give no counts.
+    A grid of more than :data:`MAX_BUCKETS` buckets is an error.  The
+    counts always sum to the number of records.
     """
     if bucket_width <= timedelta(0):
         raise ValidationError(f"bucket_width must be positive, got {bucket_width}")
     if not records:
-        origin = datetime(1970, 1, 1, tzinfo=timezone.utc)
-        return ArrivalSeries(origin=origin, bucket_width=bucket_width, counts=())
+        return ()
     origin = min(r.found_at for r in records)
     indices = [(r.found_at - origin) // bucket_width for r in records]
     buckets = max(indices) + 1
@@ -682,4 +664,4 @@ def arrival_series(records: Sequence[DefectRecord], bucket_width: timedelta) -> 
     counts = [0] * buckets
     for i in indices:
         counts[i] += 1
-    return ArrivalSeries(origin=origin, bucket_width=bucket_width, counts=tuple(counts))
+    return tuple(counts)

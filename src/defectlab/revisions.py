@@ -38,8 +38,8 @@ MAX_REVISIONS = 100_000
 #: are reported as censored.
 MC_CYCLE_CAP = 1000
 
-#: Most trials one Monte Carlo run may draw; at 6-16 us a trial this is
-#: a few minutes of work, and a larger count is rejected before any is.
+#: Most trials one Monte Carlo run may draw, about half an hour of work at
+#: the slowest rates measured; a larger count is rejected before any is.
 MAX_TRIALS = 10_000_000
 
 #: Monte Carlo trials drawn together from one seed-derived stream.
@@ -136,16 +136,17 @@ class RevisionTrajectory(Value):
     """
 
     params: ProcessParams
-    revisions: int
     expected_defects: tuple[float, ...]
+
+    @property
+    def revisions(self) -> int:
+        """Revisions to sign-off: one per expected count."""
+        return len(self.expected_defects)
 
     def __post_init__(self) -> None:
         problems: list[str] = []
-        if self.revisions != len(self.expected_defects) or self.revisions < 1:
-            problems.append(
-                f"revisions {show_int(self.revisions)} must equal trajectory length "
-                f"{len(self.expected_defects)}"
-            )
+        if not self.expected_defects:
+            problems.append("trajectory must hold at least the initial build")
         if any(d < 0 or not math.isfinite(d) for d in self.expected_defects):
             problems.append("expected defect counts must be finite and >= 0")
         if self.expected_defects and self.expected_defects[-1] >= self.params.threshold:
@@ -171,9 +172,13 @@ class McOutcome(Value):
 
     trials: int
     seed: int
-    mean_revisions: float
     histogram: dict[int, int]
     censored: int = 0
+
+    @property
+    def mean_revisions(self) -> float:
+        """Mean revision count over all trials."""
+        return sum(k * v for k, v in self.histogram.items()) / self.trials
 
     def __post_init__(self) -> None:
         problems: list[str] = []
@@ -185,12 +190,6 @@ class McOutcome(Value):
                 f"histogram frequencies sum to {show_int(total)}, "
                 f"expected {show_int(self.trials)}"
             )
-        if self.histogram:
-            mean = sum(k * v for k, v in self.histogram.items()) / max(total, 1)
-            if not math.isclose(mean, self.mean_revisions, rel_tol=0.0, abs_tol=1e-9):
-                problems.append(
-                    f"mean_revisions {self.mean_revisions} inconsistent with histogram ({mean})"
-                )
         if not 0 <= self.censored <= self.trials:
             problems.append(f"censored must be within 0..trials, got {show_int(self.censored)}")
         if problems:
@@ -247,37 +246,26 @@ def revisions_to_signoff(params: ProcessParams) -> RevisionTrajectory:
         params.removal_efficiency,
         params.threshold,
     )
-    return RevisionTrajectory(
-        params=params, revisions=len(states), expected_defects=tuple(states)
-    )
+    return RevisionTrajectory(params=params, expected_defects=tuple(states))
 
 
 class RevisionGrid(Value):
     """Forecast revision counts over the published grid's rate axes.
 
-    ``cells[i][j]`` is the count for ``removal_efficiencies[i]`` and
-    ``injection_rates[j]``.  The axes must be the published ones, so
-    that every cell has a published count to compare against.
+    ``cells[i][j]`` is the count for ``DEFAULT_REMOVAL_EFFICIENCIES[i]``
+    and ``DEFAULT_INJECTION_RATES[j]``, the published axes, so that
+    every cell has a published count to compare against.
     """
 
     units: int
     threshold: float
-    injection_rates: tuple[float, ...]
-    removal_efficiencies: tuple[float, ...]
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if (
-            self.injection_rates != DEFAULT_INJECTION_RATES
-            or self.removal_efficiencies != DEFAULT_REMOVAL_EFFICIENCIES
+        if len(self.cells) != len(DEFAULT_REMOVAL_EFFICIENCIES) or any(
+            len(row) != len(DEFAULT_INJECTION_RATES) for row in self.cells
         ):
-            raise ValidationError(
-                "grid axes must be the published injection rates and removal efficiencies"
-            )
-        if len(self.cells) != len(self.removal_efficiencies) or any(
-            len(row) != len(self.injection_rates) for row in self.cells
-        ):
-            raise ValidationError("grid shape does not match its axes")
+            raise ValidationError("grid shape does not match the published axes")
 
 
 def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> RevisionGrid:
@@ -290,7 +278,7 @@ def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> Revision
     _check_units(units, problems)
     _check_threshold(threshold, problems)
     if problems:
-        raise ValidationError("invalid grid axes", problems)
+        raise ValidationError("invalid grid parameters", problems)
 
     rows = []
     for dre in DEFAULT_REMOVAL_EFFICIENCIES:
@@ -298,13 +286,7 @@ def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> Revision
         for dir_ in DEFAULT_INJECTION_RATES:
             row.append(len(_decay_states(units * dir_, dir_, dre, threshold)))
         rows.append(tuple(row))
-    return RevisionGrid(
-        units=units,
-        threshold=threshold,
-        injection_rates=DEFAULT_INJECTION_RATES,
-        removal_efficiencies=DEFAULT_REMOVAL_EFFICIENCIES,
-        cells=tuple(rows),
-    )
+    return RevisionGrid(units=units, threshold=threshold, cells=tuple(rows))
 
 
 def _pct(value: float) -> str:
@@ -314,8 +296,8 @@ def _pct(value: float) -> str:
 def grid_to_csv(grid: RevisionGrid) -> str:
     """Grid as CSV: one row per removal efficiency, one column per
     injection rate, axes labelled in percent."""
-    lines = ["dre_pct\\dir_pct," + ",".join(_pct(d) for d in grid.injection_rates)]
-    for dre, row in zip(grid.removal_efficiencies, grid.cells):
+    lines = ["dre_pct\\dir_pct," + ",".join(_pct(d) for d in DEFAULT_INJECTION_RATES)]
+    for dre, row in zip(DEFAULT_REMOVAL_EFFICIENCIES, grid.cells):
         lines.append(_pct(dre) + "," + ",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
@@ -329,8 +311,8 @@ def divergence_report(grid: RevisionGrid) -> list[dict]:
     """
     reference = grid.units == PUBLISHED_GRID_UNITS
     report = []
-    for dre, row in zip(grid.removal_efficiencies, grid.cells):
-        for dir_, model in zip(grid.injection_rates, row):
+    for dre, row in zip(DEFAULT_REMOVAL_EFFICIENCIES, grid.cells):
+        for dir_, model in zip(DEFAULT_INJECTION_RATES, row):
             published = (
                 PUBLISHED_REVISIONS[round(dre * 100), round(dir_ * 100)] if reference else None
             )
@@ -363,8 +345,8 @@ def grid_to_json(grid: RevisionGrid) -> str:
     payload = {
         "units": grid.units,
         "threshold": grid.threshold,
-        "injection_rates": list(grid.injection_rates),
-        "removal_efficiencies": list(grid.removal_efficiencies),
+        "injection_rates": list(DEFAULT_INJECTION_RATES),
+        "removal_efficiencies": list(DEFAULT_REMOVAL_EFFICIENCIES),
         "published_reference_units": PUBLISHED_GRID_UNITS,
         "cells": cells,
     }
@@ -433,10 +415,7 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
         done = np.bincount(1 + cycles - idle)
         tallies[: done.size] += done
     histogram = {int(k): int(tallies[k]) for k in np.flatnonzero(tallies)}
-    mean = sum(k * v for k, v in histogram.items()) / trials
-    return McOutcome(
-        trials=trials, seed=seed, mean_revisions=mean, histogram=histogram, censored=censored
-    )
+    return McOutcome(trials=trials, seed=seed, histogram=histogram, censored=censored)
 
 
 def infer_efficiency(

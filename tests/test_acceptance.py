@@ -35,7 +35,12 @@ from defectlab import (
     simulate_monte_carlo,
     sqrt_estimate,
 )
-from defectlab.revisions import PUBLISHED_REVISIONS, SIGNOFF_THRESHOLD
+from defectlab.revisions import (
+    DEFAULT_INJECTION_RATES,
+    DEFAULT_REMOVAL_EFFICIENCIES,
+    PUBLISHED_REVISIONS,
+    SIGNOFF_THRESHOLD,
+)
 from defectlab.sizing import SizePoint
 
 from datetime import timedelta
@@ -89,8 +94,8 @@ def test_criterion_3_reference_grid_agreement():
         grid = revision_table(2000)
         exact = 0
         for dre_pct in (80, 100):
-            row = grid.cells[grid.removal_efficiencies.index(dre_pct / 100)]
-            for dir_rate, model in zip(grid.injection_rates, row):
+            row = grid.cells[DEFAULT_REMOVAL_EFFICIENCIES.index(dre_pct / 100)]
+            for dir_rate, model in zip(DEFAULT_INJECTION_RATES, row):
                 published = PUBLISHED_REVISIONS[(dre_pct, round(dir_rate * 100))]
                 assert abs(model - published) <= 1, (
                     f"{dre_pct}%/{dir_rate:.0%}: model {model} vs published {published}"
@@ -98,8 +103,8 @@ def test_criterion_3_reference_grid_agreement():
                 exact += model == published
         assert exact >= 12, f"only {exact}/16 high-efficiency cells exact"
 
-        row_60 = grid.cells[grid.removal_efficiencies.index(0.60)]
-        for dir_rate, model in zip(grid.injection_rates, row_60):
+        row_60 = grid.cells[DEFAULT_REMOVAL_EFFICIENCIES.index(0.60)]
+        for dir_rate, model in zip(DEFAULT_INJECTION_RATES, row_60):
             published = PUBLISHED_REVISIONS[(60, round(dir_rate * 100))]
             assert abs(model - published) <= 1
 
@@ -195,9 +200,9 @@ def test_criterion_9_property_suite_spot_checks():
         offsets = [0, 1, 26, 30, 49, 50, 51, 120, 121, 300]
         found = [make_record(rid=f"a{i}", found_offset_h=h) for i, h in enumerate(offsets)]
         width = timedelta(days=2)
-        series = arrival_series(found, width)
-        assert sum(series.counts) == len(found)
-        for k, count in enumerate(series.counts):
+        counts = arrival_series(found, width)
+        assert sum(counts) == len(found)
+        for k, count in enumerate(counts):
             lo = EPOCH + k * width
             assert count == sum(1 for r in found if lo <= r.found_at < lo + width)
 

@@ -645,6 +645,9 @@ CONTRACT_CASES = {
     "report --bucket-days 1e-9": lambda t: [
         "report", "--ledger", _ledger(t), "--svg", str(t / "out.svg"), "--bucket-days", "1e-9",
     ],
+    "report --bucket-days 1e-12": lambda t: [
+        "report", "--ledger", _ledger(t), "--svg", str(t / "out.svg"), "--bucket-days", "1e-12",
+    ],
     "ledger product with an unknown key": lambda t: [
         "metrics", "--ledger", _ledger(t, product={"loc": 3}),
     ],
@@ -672,6 +675,7 @@ CONTRACT_CASES = {
     "forecast --table --units beyond float range": lambda t: [
         "forecast", "--units", HUGE, "--table",
     ],
+    "forecast --units 0 --table": lambda t: ["forecast", "--units", "0", "--table"],
     "forecast --monte-carlo --units beyond int64": lambda t: [
         "forecast", "--units", str(10**20), "--dir", "0.07", "--dre", "0.75",
         "--monte-carlo", "--trials", "10", "--seed", "1",
@@ -719,6 +723,14 @@ def test_bucket_days_is_checked_before_the_input_is_read(tmp_path, capsys, comma
     assert error.startswith("error: --bucket-days must be within (0, ")
 
 
+#: The whole stderr of the contract cases whose message is pinned.
+CONTRACT_STDERR = {
+    "forecast --units 0 --table": "error: invalid grid parameters\n  units must be >= 1, got 0\n",
+    # A width that a timedelta rounds to zero microseconds.
+    "report --bucket-days 1e-12": "error: --bucket-days 1e-12 rounds to a zero-width bucket\n",
+}
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv = CONTRACT_CASES[case](tmp_path)
@@ -729,6 +741,8 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     (error,) = [line for line in err.splitlines() if line.startswith("error:")]
     if case.startswith("non-UTF-8"):
         assert "not-utf8" in error
+    if case in CONTRACT_STDERR:
+        assert err == CONTRACT_STDERR[case]
 
 
 #: Edge values for the numeric flags: NaN, the infinities, zeros,

@@ -246,25 +246,25 @@ class TestRevisionsToSignoff:
 class TestTrajectoryType:
     def test_non_decreasing_trajectory_rejected(self):
         with pytest.raises(ValidationError, match="strictly decrease"):
-            RevisionTrajectory(
-                params=AUDITED, revisions=2, expected_defects=(10.0, 10.0)
-            )
+            RevisionTrajectory(params=AUDITED, expected_defects=(10.0, 10.0))
 
     def test_unfinished_trajectory_rejected(self):
         with pytest.raises(ValidationError, match="threshold"):
-            RevisionTrajectory(params=AUDITED, revisions=1, expected_defects=(10.0,))
+            RevisionTrajectory(params=AUDITED, expected_defects=(10.0,))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="must equal trajectory length"):
-            RevisionTrajectory(params=AUDITED, revisions=3, expected_defects=(0.1,))
+    def test_revisions_is_the_trajectory_length_and_not_an_argument(self):
+        trajectory = RevisionTrajectory(params=AUDITED, expected_defects=(10.0, 1.0, 0.1))
+        assert trajectory.revisions == 3
+        with pytest.raises(TypeError):
+            RevisionTrajectory(params=AUDITED, revisions=3, expected_defects=(10.0, 1.0, 0.1))
 
 
 class TestRevisionTable:
     def test_default_grid_shape(self):
         grid = revision_table(2000)
-        assert grid.injection_rates == DEFAULT_INJECTION_RATES
-        assert grid.removal_efficiencies == DEFAULT_REMOVAL_EFFICIENCIES
-        assert len(grid.cells) == 9
+        assert RevisionGrid.__match_args__ == ("units", "threshold", "cells")
+        assert (grid.units, grid.threshold) == (2000, SIGNOFF_THRESHOLD)
+        assert len(grid.cells) == len(DEFAULT_REMOVAL_EFFICIENCIES) == 9
         assert all(len(row) == 8 for row in grid.cells)
 
     def test_perfect_efficiency_row(self):
@@ -280,8 +280,8 @@ class TestRevisionTable:
 
     def test_cells_match_scalar_forecasts(self):
         grid = revision_table(500)
-        for dre, row in zip(grid.removal_efficiencies, grid.cells):
-            for dir_, cell in zip(grid.injection_rates, row):
+        for dre, row in zip(DEFAULT_REMOVAL_EFFICIENCIES, grid.cells):
+            for dir_, cell in zip(DEFAULT_INJECTION_RATES, row):
                 params = ProcessParams(
                     units=500, injection_rate=dir_, removal_efficiency=dre
                 )
@@ -305,14 +305,28 @@ class TestGridSerialization:
         assert lines[0] == "dre_pct\\dir_pct,3,4,5,7,10,15,20,30"
         assert lines[-1].startswith("100,3,3,3,4,4,5,6,")
 
-    def test_json_round_trips_and_carries_trajectories(self):
-        payload = json.loads(grid_to_json(revision_table(2000)))
-        assert payload["units"] == 2000
+    @pytest.mark.parametrize("units", [PUBLISHED_GRID_UNITS, 1000])
+    def test_json_round_trips_and_carries_trajectories(self, units):
+        grid = revision_table(units)
+        payload = json.loads(grid_to_json(grid))
+        assert payload["units"] == units
         assert payload["published_reference_units"] == PUBLISHED_GRID_UNITS
+        assert payload["injection_rates"] == list(DEFAULT_INJECTION_RATES)
+        assert payload["removal_efficiencies"] == list(DEFAULT_REMOVAL_EFFICIENCIES)
         assert len(payload["cells"]) == 72
-        first = payload["cells"][0]
-        assert first["trajectory"][0] == pytest.approx(2000 * first["injection_rate"])
-        assert len(first["trajectory"]) == first["revisions"]
+        rates = [(dre, dir_) for dre in DEFAULT_REMOVAL_EFFICIENCIES
+                 for dir_ in DEFAULT_INJECTION_RATES]
+        counts = [count for row in grid.cells for count in row]
+        for cell, (dre, dir_), count in zip(payload["cells"], rates, counts, strict=True):
+            assert (cell["removal_efficiency"], cell["injection_rate"]) == (dre, dir_)
+            assert cell["revisions"] == count
+            assert len(cell["trajectory"]) == cell["revisions"]
+            assert cell["trajectory"][0] == units * dir_
+            if units == PUBLISHED_GRID_UNITS:
+                published = PUBLISHED_REVISIONS[round(dre * 100), round(dir_ * 100)]
+                assert (cell["published"], cell["delta"]) == (published, count - published)
+            else:
+                assert cell["published"] is None and cell["delta"] is None
 
 
 class TestDivergenceReport:
@@ -336,17 +350,18 @@ class TestDivergenceReport:
         assert all(e["published"] is None for e in report)
 
     def test_grid_off_the_published_axes_rejected(self):
-        with pytest.raises(ValidationError, match="grid axes must be the published"):
+        # The grid holds no axes of its own, so none can be passed in ...
+        with pytest.raises(TypeError):
             RevisionGrid(
                 units=2000, threshold=0.5, injection_rates=(0.11,),
                 removal_efficiencies=(0.2,), cells=((5,),),
             )
-        with pytest.raises(ValidationError, match="grid axes must be the published"):
-            RevisionGrid(
-                units=2000, threshold=0.5, injection_rates=DEFAULT_INJECTION_RATES,
-                removal_efficiencies=DEFAULT_REMOVAL_EFFICIENCIES[:-1],
-                cells=((1,) * len(DEFAULT_INJECTION_RATES),) * 8,
-            )
+        # ... and cells of another shape than the published axes are refused.
+        row = (1,) * len(DEFAULT_INJECTION_RATES)
+        with pytest.raises(ValidationError, match="grid shape does not match the published axes"):
+            RevisionGrid(units=2000, threshold=0.5, cells=(row,) * 8)
+        with pytest.raises(ValidationError, match="grid shape does not match the published axes"):
+            RevisionGrid(units=2000, threshold=0.5, cells=(row[:-1],) * 9)
 
 
 class TestMonteCarlo:
@@ -460,9 +475,12 @@ class TestMonteCarlo:
 
     def test_outcome_type_rejects_inconsistent_histogram(self):
         with pytest.raises(ValidationError, match="histogram"):
-            McOutcome(trials=3, seed=1, mean_revisions=2.0, histogram={2: 2})
-        with pytest.raises(ValidationError, match="inconsistent"):
-            McOutcome(trials=2, seed=1, mean_revisions=5.0, histogram={2: 2})
+            McOutcome(trials=3, seed=1, histogram={2: 2})
+
+    def test_mean_revisions_is_the_histogram_mean_and_not_an_argument(self):
+        assert McOutcome(trials=4, seed=1, histogram={2: 3, 6: 1}).mean_revisions == 3.0
+        with pytest.raises(TypeError):
+            McOutcome(trials=2, seed=1, mean_revisions=2.0, histogram={2: 2})
 
 
 class TestInferEfficiency:

@@ -18,11 +18,10 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from defectlab.errors import ValidationError
-from defectlab.ledger import ArrivalSeries, DefectRecord, Phase, ProductProfile, Status
+from defectlab.ledger import DefectRecord, Phase, ProductProfile, Status
 from defectlab.metrics import MetricsSummary
 from defectlab.rayleigh import RayleighFit
 from defectlab.revisions import (
-    DEFAULT_INJECTION_RATES,
     DEFAULT_REMOVAL_EFFICIENCIES,
     McOutcome,
     ProcessParams,
@@ -56,13 +55,6 @@ CASES = [
         ("kloc", -1.0),
     ),
     (
-        ArrivalSeries,
-        [("origin", datetime(2004, 3, 1, tzinfo=timezone.utc)),
-         ("bucket_width", timedelta(days=7)), ("counts", (3, 5, 2))],
-        {},
-        ("bucket_width", timedelta(0)),
-    ),
-    (
         MetricsSummary,
         [("product_id", "m1"), ("defect_count", 151), ("density_per_uf", 0.07),
          ("density_per_kloc", None), ("injection_rate", 0.07), ("removal_efficiency", None),
@@ -86,21 +78,19 @@ CASES = [
     ),
     (
         RevisionTrajectory,
-        [("params", PARAMS), ("revisions", 3), ("expected_defects", (1.0, 0.55, 0.3025))],
+        [("params", PARAMS), ("expected_defects", (1.0, 0.55, 0.3025))],
         {},
-        ("revisions", 4),
+        ("expected_defects", ()),
     ),
     (
         McOutcome,
-        [("trials", 3), ("seed", 7), ("mean_revisions", 5.0), ("histogram", {4: 1, 5: 1, 6: 1}),
-         ("censored", 0)],
+        [("trials", 3), ("seed", 7), ("histogram", {4: 1, 5: 1, 6: 1}), ("censored", 0)],
         {"censored": 0},
         ("censored", 4),
     ),
     (
         RevisionGrid,
-        [("units", 2000), ("threshold", 0.5), ("injection_rates", DEFAULT_INJECTION_RATES),
-         ("removal_efficiencies", DEFAULT_REMOVAL_EFFICIENCIES), ("cells", CELLS)],
+        [("units", 2000), ("threshold", 0.5), ("cells", CELLS)],
         {},
         ("cells", CELLS[1:]),
     ),
