@@ -24,7 +24,7 @@ from .errors import DivergenceError, NonConvergenceError, ValidationError
 # its own; this import is for type checkers alone.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from . import revisions
+    from . import rayleigh, revisions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -196,52 +196,56 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _model_payloads(model: str, linear, sqrt, key: str, score) -> dict:
+    """An object per model ``model`` selects, made on demand, with ``score(predict)`` at ``key``."""
+    from . import sizing
+
+    payload = {}
+    if model in ("linear", "both"):
+        line = linear()
+        payload["linear"] = {"intercept": line.intercept, "slope": line.slope,
+                             key: score(lambda uf: sizing.linear_estimate(uf, line))}
+    if model in ("sqrt", "both"):
+        root = sqrt()
+        payload["sqrt"] = {"coefficient": root.coefficient,
+                           key: score(lambda uf: sizing.sqrt_estimate(uf, root))}
+    return payload
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from . import sizing
 
     if (args.uf is None) == (args.fit is None):
         raise ValidationError("estimate needs exactly one of --uf or --fit")
     if args.uf is not None:
-        payload: dict = {"uf": args.uf}
-        if args.model in ("linear", "both"):
-            model = sizing.DEFAULT_LINEAR_MODEL
-            payload["linear"] = {
-                "intercept": model.intercept,
-                "slope": model.slope,
-                "estimate": sizing.linear_estimate(args.uf, model),
-            }
-        if args.model in ("sqrt", "both"):
-            sqrt_model = sizing.DEFAULT_SQRT_MODEL
-            payload["sqrt"] = {
-                "coefficient": sqrt_model.coefficient,
-                "estimate": sizing.sqrt_estimate(args.uf, sqrt_model),
-            }
+        payload: dict = {"uf": args.uf} | _model_payloads(
+            args.model, lambda: sizing.DEFAULT_LINEAR_MODEL, lambda: sizing.DEFAULT_SQRT_MODEL,
+            "estimate", lambda predict: predict(args.uf),
+        )
     else:
         points = sizing.parse_scatter(_read_text(args.fit))
-        payload = {"points": len(points)}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.model in ("linear", "both"):
-                linear = sizing.fit_linear(points)
-                payload["linear"] = {
-                    "intercept": linear.intercept,
-                    "slope": linear.slope,
-                    "rss": sizing.residual_sum_of_squares(
-                        points, lambda uf: sizing.linear_estimate(uf, linear)
-                    ),
-                }
-            if args.model in ("sqrt", "both"):
-                sqrt_fit = sizing.fit_sqrt(points)
-                payload["sqrt"] = {
-                    "coefficient": sqrt_fit.coefficient,
-                    "rss": sizing.residual_sum_of_squares(
-                        points, lambda uf: sizing.sqrt_estimate(uf, sqrt_fit)
-                    ),
-                }
+            payload = {"points": len(points)} | _model_payloads(
+                args.model, lambda: sizing.fit_linear(points), lambda: sizing.fit_sqrt(points),
+                "rss", lambda predict: sizing.residual_sum_of_squares(points, predict),
+            )
         for caught_warning in caught:
             print(f"warning: {caught_warning.message}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
+
+
+def _fit_payload(fit: rayleigh.RayleighFit, days: float | None, **between) -> dict:
+    """The fit object of ``fit-arrival`` and ``report``, with ``between`` after ``sigma_days``."""
+    return {
+        "k_total": fit.k_total,
+        "sigma": fit.sigma,
+        "sigma_days": None if days is None else fit.sigma * days,
+        **between,
+        "sse": fit.sse,
+        "buckets_used": fit.buckets_used,
+    }
 
 
 def _cmd_fit_arrival(args: argparse.Namespace) -> int:
@@ -260,15 +264,8 @@ def _cmd_fit_arrival(args: argparse.Namespace) -> int:
     if bucket_days is None:
         bucket_days = inferred
     fit = rayleigh.fit_arrival(counts)
-    payload = {
-        "k_total": fit.k_total,
-        "sigma": fit.sigma,
-        "sigma_days": None if bucket_days is None else fit.sigma * bucket_days,
-        "bucket_days": bucket_days,
-        "sse": fit.sse,
-        "buckets_used": fit.buckets_used,
-        "cumulative_at_peak": fit.k_total * rayleigh.PEAK_FRACTION,
-    }
+    payload = _fit_payload(fit, bucket_days, bucket_days=bucket_days)
+    payload["cumulative_at_peak"] = fit.k_total * rayleigh.PEAK_FRACTION
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -298,20 +295,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ValidationError("no defect records to chart")
     counts = ledger.arrival_series(records, width)
 
-    fitted = None
-    fit_payload = None
-    fit_note = None
+    fitted = fit_payload = fit_note = None
     if len(counts) >= 3:
         try:
             fit = rayleigh.fit_arrival(counts)
             fitted = rayleigh.expected_bucket_counts(fit.k_total, fit.sigma, len(counts))
-            fit_payload = {
-                "k_total": fit.k_total,
-                "sigma": fit.sigma,
-                "sigma_days": fit.sigma * args.bucket_days,
-                "sse": fit.sse,
-                "buckets_used": fit.buckets_used,
-            }
+            fit_payload = _fit_payload(fit, args.bucket_days)
         except (NonConvergenceError, ValidationError) as exc:
             fit_note = str(exc)
     else:

@@ -519,8 +519,9 @@ def parse_series(text: str) -> tuple[list[int], float | None]:
     """Parse a ``bucket_start,count`` CSV; return counts and inferred width.
 
     Starts may be ISO UTC timestamps or plain numbers (day offsets).
-    Spacing must be uniform; the inferred width is in days, or None
-    when a single row leaves it undetermined.
+    Spacing must be uniform; the inferred width is in days, at most the
+    widest bucket a timedelta holds, or None when a single row leaves it
+    undetermined.
     """
     rows = read_csv_table(text, ("bucket_start", "count"), "series file", _series_row)
     if not rows:
@@ -532,6 +533,10 @@ def parse_series(text: str) -> tuple[list[int], float | None]:
     width = starts[1] - starts[0]
     if width <= 0:
         raise ValidationError("bucket_start values must be strictly increasing")
+    if width > timedelta.max.days:
+        raise ValidationError(
+            f"bucket spacing of {width:g} days is wider than {timedelta.max.days} days"
+        )
     for i in range(1, len(starts) - 1):
         gap = starts[i + 1] - starts[i]
         if abs(gap - width) > 1e-6 * max(1.0, abs(width)):

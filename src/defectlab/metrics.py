@@ -82,7 +82,10 @@ def defect_density(defects: int, size: float) -> float:
         raise ValidationError(problem)
     if size <= 0 or not math.isfinite(size):
         raise ValidationError(f"size must be positive, got {show_int(size)}")
-    return defects / size
+    density = defects / size
+    if not math.isfinite(density):
+        raise ValidationError(f"density of {show_int(defects)} over a size of {size} overflows")
+    return density
 
 
 def removal_efficiency(removed_by_process: int, total_present: int) -> float:
@@ -116,8 +119,9 @@ def removal_rate(records: Sequence[DefectRecord], window: timedelta) -> float | 
     if not fix_times:
         return None
     horizon = max(max(fix_times), max(r.found_at for r in records))
-    start = horizon - window
-    fixes_in_window = sum(1 for t in fix_times if start < t <= horizon)
+    # Every fix is at or before the horizon.  Comparing distances never
+    # builds the window's start, which may lie before year 1.
+    fixes_in_window = sum(1 for t in fix_times if horizon - t < window)
     if fixes_in_window == 0:
         return None
     return fixes_in_window / (window / timedelta(days=1))

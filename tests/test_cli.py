@@ -148,6 +148,22 @@ class TestMetrics:
         assert m2["injection_rate"] is None
         assert "injection_rate_basis" not in m2
 
+    def test_fixes_in_the_first_week_of_year_one(self, tmp_path, capsys):
+        # The rate window ends on 0001-01-02, so it would start before year 1.
+        defects = tmp_path / "defects.csv"
+        defects.write_text(_defect_csv(
+            ["d1,m1,build,test,0001-01-01T00:00:00Z,0001-01-02T00:00:00Z,2,fixed,1"]
+        ))
+        products = tmp_path / "products.json"
+        products.write_text('[{"product_id":"m1","unique_formulas":10}]')
+        out = tmp_path / "ledger.json"
+        assert run(["ingest", "--defects", str(defects), "--products", str(products),
+                    "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["metrics", "--ledger", str(out)]) == EXIT_OK
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert entry["removal_rate"] == pytest.approx(1 / 7)
+
     def test_unknown_product_rejected(self, sample_ledger, capsys):
         code = run(["metrics", "--ledger", str(sample_ledger), "--product", "ghost"])
         assert code == EXIT_VALIDATION
@@ -369,10 +385,16 @@ class TestReport:
         overlays = [e for e in root.iter(f"{svg_ns}polyline") if e.get("class") == "fit"]
         assert len(overlays) == 1
 
-    def test_unfittable_series_still_ships_the_chart(self, tmp_path, capsys):
+    @pytest.mark.parametrize(("days", "note"), [
+        ([0, 1], "too few buckets for an arrival fit (need 3)"),
+        # Counts of 1, 2 and 4 rise to the end, so no interior peak fits.
+        ([0, 2, 3, 4, 4, 5, 5], "sigma search collapsed onto the upper boundary 9; the data "
+                                "show no interior peak within the observed span"),
+    ], ids=["too few buckets", "fit raises"])
+    def test_unfittable_series_still_ships_the_chart(self, tmp_path, capsys, days, note):
         rows = [
-            f"d{i},m1,build,test,{format_timestamp(EPOCH + timedelta(days=i))},,2,open,"
-            for i in range(2)
+            f"d{i},m1,build,test,{format_timestamp(EPOCH + timedelta(days=day))},,2,open,"
+            for i, day in enumerate(days)
         ]
         defects = tmp_path / "defects.csv"
         defects.write_text(_defect_csv(rows), encoding="utf-8")
@@ -391,7 +413,7 @@ class TestReport:
         ]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["fit"] is None
-        assert "too few buckets" in payload["fit_note"]
+        assert payload["fit_note"] == note
         assert svg_path.exists()
 
     def test_empty_scope_rejected(self, sample_ledger, tmp_path, capsys):
@@ -560,6 +582,7 @@ LONG_INT = "1" + "0" * 5000
 LONG_INT_LEDGER = (
     '{"products": [{"product_id": "m1", "unique_formulas": ' + LONG_INT + '}], "defects": []}'
 )
+EMPTY_LEDGER = '{"products": [{"product_id": "m1", "unique_formulas": 10}], "defects": []}'
 #: A header whose first cell holds a newline and a would-be second error line.
 NEWLINE_HEADER = '"id\nerror: second line",b\n'
 #: A registry entry with an unknown key holding a would-be second error line.
@@ -706,6 +729,23 @@ CONTRACT_CASES = {
     "ledger kloc beyond float range, metrics --ledger": lambda t: [
         "metrics", "--ledger", _ledger(t, product={"kloc": int(HUGE)}),
     ],
+    "ledger kloc 1e-310, metrics --ledger": lambda t: [
+        "metrics", "--ledger", _ledger(t, product={"kloc": 1e-310}),
+    ],
+    "ledger kloc 1e-310, metrics --ledger --format csv": lambda t: [
+        "metrics", "--ledger", _ledger(t, product={"kloc": 1e-310}), "--format", "csv",
+    ],
+    "report on a ledger with no defects": lambda t: [
+        "report", "--ledger", _file(t, "ledger.json", EMPTY_LEDGER), "--svg", str(t / "out.svg"),
+    ],
+    "series spacing beyond float range, fit-arrival --series": lambda t: [
+        "fit-arrival", "--series",
+        _file(t, "series.csv", "bucket_start,count\n-1e308,1\n1e308,2\n1e308,3\n"),
+    ],
+    "series spacing past the widest bucket, fit-arrival --series": lambda t: [
+        "fit-arrival", "--series",
+        _file(t, "series.csv", "bucket_start,count\n0,1\n8e307,2\n1.6e308,3\n"),
+    ],
     "series count beyond float range, fit-arrival --series": lambda t: [
         "fit-arrival", "--series",
         _file(t, "series.csv", f"bucket_start,count\n0,1\n1,{HUGE}\n2,3\n"),
@@ -728,6 +768,19 @@ CONTRACT_STDERR = {
     "forecast --units 0 --table": "error: invalid grid parameters\n  units must be >= 1, got 0\n",
     # A width that a timedelta rounds to zero microseconds.
     "report --bucket-days 1e-12": "error: --bucket-days 1e-12 rounds to a zero-width bucket\n",
+    # Two defects over a subnormal size is a density beyond float range.
+    "ledger kloc 1e-310, metrics --ledger": "error: density of 2 over a size of 1e-310 overflows\n",
+    "ledger kloc 1e-310, metrics --ledger --format csv": (
+        "error: density of 2 over a size of 1e-310 overflows\n"
+    ),
+    "report on a ledger with no defects": "error: no defect records to chart\n",
+    # An inferred width wider than any --bucket-days would be accepted.
+    "series spacing beyond float range, fit-arrival --series": (
+        "error: bucket spacing of inf days is wider than 999999999 days\n"
+    ),
+    "series spacing past the widest bucket, fit-arrival --series": (
+        "error: bucket spacing of 8e+307 days is wider than 999999999 days\n"
+    ),
 }
 
 

@@ -29,7 +29,7 @@ from defectlab import (
     serialize_product_registry,
 )
 from defectlab.errors import MAX_COUNT
-from defectlab.ledger import MAX_BUCKETS, format_timestamp, parse_timestamp
+from defectlab.ledger import MAX_BUCKETS, format_timestamp, parse_series, parse_timestamp
 
 HEADER = "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
 
@@ -301,6 +301,33 @@ class TestArrivalSeries:
             for k, count in enumerate(counts):
                 lo = origin + k * width
                 assert count == sum(1 for r in records if lo <= r.found_at < lo + width)
+
+
+SERIES_HEADER = "bucket_start,count\n"
+
+
+class TestParseSeries:
+    @pytest.mark.parametrize(("body", "expected"), [
+        ("0,5\n", ([5], None)),
+        ("0,1\n999999999,2\n", ([1, 2], 999999999.0)),
+    ], ids=["one row leaves the width open", "widest bucket"])
+    def test_counts_and_inferred_width(self, body, expected):
+        assert parse_series(SERIES_HEADER + body) == expected
+
+    @pytest.mark.parametrize(("body", "message"), [
+        ("nan,1\n1,2\n",
+         "series file failed validation\n  row 1: bucket_start must be finite, got 'nan'"),
+        ("0,-1\n1,2\n", "series file failed validation\n  row 1: count must be >= 0, got -1"),
+        ("", "series file has no data rows"),
+        ("1,1\n1,2\n", "bucket_start values must be strictly increasing"),
+        ("2,1\n1,2\n", "bucket_start values must be strictly increasing"),
+        ("0,1\n1000000000,2\n", "bucket spacing of 1e+09 days is wider than 999999999 days"),
+    ], ids=["non-finite start", "negative count", "no data rows", "repeated start",
+            "decreasing starts", "wider than a timedelta"])
+    def test_rejected(self, body, message):
+        with pytest.raises(ValidationError) as caught:
+            parse_series(SERIES_HEADER + body)
+        assert str(caught.value) == message
 
 
 class TestLedgerDocument:

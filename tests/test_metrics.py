@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, with_fields
 from defectlab import (
     MetricsSummary,
     ProductProfile,
@@ -48,6 +48,13 @@ class TestDefectDensity:
     def test_negative_defects_rejected(self):
         with pytest.raises(ValidationError, match=">= 0"):
             defect_density(-1, 10.0)
+
+    def test_overflowing_quotient_rejected(self):
+        # A subnormal size passes the positivity check, but one defect
+        # over it is beyond float range.
+        with pytest.raises(ValidationError) as caught:
+            defect_density(1, 1e-310)
+        assert str(caught.value) == "density of 1 over a size of 1e-310 overflows"
 
 
 class TestInjectionRate:
@@ -122,6 +129,13 @@ class TestRemovalRate:
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValidationError, match="window must be positive"):
             removal_rate([], timedelta(0))
+
+    def test_window_reaching_before_year_one(self):
+        # The window would start on 0000-12-26, which no datetime holds.
+        found = datetime(1, 1, 1, tzinfo=timezone.utc)
+        record = with_fields(make_record(fixed_offset_h=0), found_at=found,
+                             fixed_at=found + timedelta(days=1))
+        assert removal_rate([record], timedelta(days=7)) == pytest.approx(1 / 7)
 
     @given(
         st.lists(
