@@ -54,15 +54,6 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _check_bucket_days(days: float) -> None:
-    # The upper bound is the widest bucket a timedelta can hold.  Only
-    # the commands that bucket by days load datetime.
-    from datetime import timedelta
-
-    if not 0 < days <= timedelta.max.days:
-        raise ValidationError(f"--bucket-days must be within (0, {timedelta.max.days}], got {days}")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="defectlab", description="Defect analytics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -98,7 +89,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit-arrival", help="fit the arrival model to a bucketed series")
     p.add_argument("--series", required=True, help="CSV with columns bucket_start,count")
-    p.add_argument("--bucket-days", type=float, help="expected bucket width in days")
     p.add_argument("--out", help="write fit JSON here instead of stdout")
 
     p = sub.add_parser("report", help="arrival chart (SVG) with fitted overlay from a ledger")
@@ -157,9 +147,13 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     from . import revisions
 
     threshold = revisions.SIGNOFF_THRESHOLD if args.threshold is None else args.threshold
+    if not args.monte_carlo and (args.trials is not None or args.seed is not None):
+        raise ValidationError("--trials and --seed apply only to --monte-carlo")
     if args.table:
         if args.monte_carlo:
             raise ValidationError("--table and --monte-carlo are mutually exclusive")
+        if args.dir is not None or args.dre is not None:
+            raise ValidationError("--dir and --dre do not apply to --table output")
         grid = revisions.revision_table(args.units, threshold=threshold)
         sys.stdout.write(
             revisions.grid_to_csv(grid) if args.format == "csv" else revisions.grid_to_json(grid)
@@ -251,18 +245,8 @@ def _fit_payload(fit: rayleigh.RayleighFit, days: float | None, **between) -> di
 def _cmd_fit_arrival(args: argparse.Namespace) -> int:
     from . import ledger, rayleigh
 
-    bucket_days = args.bucket_days
-    if bucket_days is not None:
-        _check_bucket_days(bucket_days)
-    counts, inferred = ledger.parse_series(_read_text(args.series))
-    if bucket_days is not None and inferred is not None:
-        if abs(bucket_days - inferred) > 1e-6 * max(1.0, abs(inferred)):
-            raise ValidationError(
-                f"--bucket-days {bucket_days:g} does not match the file's "
-                f"spacing of {inferred:g} days"
-            )
-    if bucket_days is None:
-        bucket_days = inferred
+    # A fit needs three buckets, so a fitted series always has a width.
+    counts, bucket_days = ledger.parse_series(_read_text(args.series))
     fit = rayleigh.fit_arrival(counts)
     payload = _fit_payload(fit, bucket_days, bucket_days=bucket_days)
     payload["cumulative_at_peak"] = fit.k_total * rayleigh.PEAK_FRACTION
@@ -280,7 +264,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from . import charts, ledger, rayleigh
 
-    _check_bucket_days(args.bucket_days)
+    # The upper bound is the widest bucket a timedelta can hold.
+    if not 0 < args.bucket_days <= timedelta.max.days:
+        raise ValidationError(
+            f"--bucket-days must be within (0, {timedelta.max.days}], got {args.bucket_days}"
+        )
     width = timedelta(days=args.bucket_days)
     if not width:  # a timedelta holds whole microseconds
         raise ValidationError(f"--bucket-days {args.bucket_days} rounds to a zero-width bucket")

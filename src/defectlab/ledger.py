@@ -123,9 +123,8 @@ def parse_timestamp(text: str) -> datetime:
         return stamp
     if stamp.tzinfo is None:
         raise ValidationError(f"timestamp {text!r} must carry a UTC offset")
-    if stamp.utcoffset() != _ZERO:
-        raise ValidationError(f"timestamp {text!r} must be UTC, not a local offset")
-    return stamp
+    # fromisoformat gives the timezone.utc singleton for every zero offset.
+    raise ValidationError(f"timestamp {text!r} must be UTC, not a local offset")
 
 
 def format_timestamp(stamp: datetime) -> str:
@@ -347,18 +346,11 @@ def _require(entry: dict, key: str, kinds: tuple[type, ...], label: str) -> obje
     value = entry.get(key)
     if type(value) in kinds or value is None:
         return value
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValidationError(f"{key} must be {label}, got {value!r}")
-    return value
+    raise ValidationError(f"{key} must be {label}, got {value!r}")
 
 
 #: The string-typed fields, in the order the decoder checks them.
 _STRING_KEYS = ("id", "product_id", "phase_injected", "phase_found", "found_at", "status")
-
-
-def _is_int(value: object) -> bool:
-    # An int subclass passes, a bool does not.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _record_from_values(values: Sequence) -> DefectRecord:
@@ -368,8 +360,8 @@ def _record_from_values(values: Sequence) -> DefectRecord:
     The checks run in one fixed order, so an entry with several problems
     reports the same first one in either form: the string fields' types,
     ``fixed_at``'s type, then each field in column order, then the
-    record's own rules.  A ``type(v) is T`` test settles the common case;
-    ``isinstance``, which also admits subclasses, runs only when it fails.
+    record's own rules.  The values come from ``json.loads`` or the CSV
+    reader, which give exact ``str`` and ``int``, so each test is on ``type``.
     """
     ident, product, injected, found, found_at, fixed_at, severity, status, changes = values
     if not (
@@ -377,9 +369,9 @@ def _record_from_values(values: Sequence) -> DefectRecord:
         and type(found) is str and type(found_at) is str and type(status) is str
     ):
         for key, value in zip(_STRING_KEYS, (ident, product, injected, found, found_at, status)):
-            if not isinstance(value, str):
+            if type(value) is not str:
                 raise ValidationError(f"{key} must be a string, got {value!r}")
-    if fixed_at is not None and not isinstance(fixed_at, str):
+    if fixed_at is not None and type(fixed_at) is not str:
         raise ValidationError(f"fixed_at must be a string or null, got {fixed_at!r}")
     phase_injected = _PHASES.get(injected)
     if phase_injected is None:
@@ -389,12 +381,12 @@ def _record_from_values(values: Sequence) -> DefectRecord:
         raise ValidationError(f"unknown phase_found {found!r}")
     found_stamp = parse_timestamp(found_at)
     fixed_stamp = parse_timestamp(fixed_at) if fixed_at else None
-    if type(severity) is not int and not _is_int(severity):
+    if type(severity) is not int:
         raise ValidationError(f"severity must be an integer, got {severity!r}")
     member = _STATUSES.get(status)
     if member is None:
         raise ValidationError(f"unknown status {status!r}")
-    if changes is not None and type(changes) is not int and not _is_int(changes):
+    if changes is not None and type(changes) is not int:
         raise ValidationError(f"fix_changes must be an integer or null, got {changes!r}")
     return DefectRecord(
         ident, product, phase_injected, phase_found, found_stamp, fixed_stamp,

@@ -317,13 +317,6 @@ class TestFitArrival:
         assert payload["bucket_days"] == pytest.approx(7.0)
         assert payload["sigma_days"] == pytest.approx(7.0 * payload["sigma"])
 
-    def test_bucket_days_must_match_the_file(self, tmp_path, capsys):
-        counts = [round(c) for c in expected_bucket_counts(120.0, 3.0, 9)]
-        path = self._series_file(tmp_path, [float(i) for i in range(9)], counts)
-        code = run(["fit-arrival", "--series", str(path), "--bucket-days", "7"])
-        assert code == EXIT_VALIDATION
-        assert "does not match" in capsys.readouterr().err
-
     def test_out_writes_the_payload_to_disk(self, tmp_path, capsys):
         counts = [round(c) for c in expected_bucket_counts(200.0, 4.0, 12)]
         path = self._series_file(tmp_path, [float(i) for i in range(12)], counts)
@@ -699,6 +692,18 @@ CONTRACT_CASES = {
         "forecast", "--units", HUGE, "--table",
     ],
     "forecast --units 0 --table": lambda t: ["forecast", "--units", "0", "--table"],
+    "forecast --trials and --seed without --monte-carlo": lambda t: [
+        "forecast", "--units", "2000", "--dir", "0.07", "--dre", "0.75",
+        "--trials", "100000", "--seed", "1",
+    ],
+    "forecast --seed without --monte-carlo": lambda t: [
+        "forecast", "--units", "2000", "--dir", "0.07", "--dre", "0.75", "--seed", "1",
+    ],
+    "forecast --table --trials": lambda t: [
+        "forecast", "--units", "2000", "--table", "--trials", "10",
+    ],
+    "forecast --table --dir": lambda t: ["forecast", "--units", "2000", "--table", "--dir", "0.5"],
+    "forecast --table --dre": lambda t: ["forecast", "--units", "2000", "--table", "--dre", "0.5"],
     "forecast --monte-carlo --units beyond int64": lambda t: [
         "forecast", "--units", str(10**20), "--dir", "0.07", "--dre", "0.75",
         "--monte-carlo", "--trials", "10", "--seed", "1",
@@ -753,12 +758,11 @@ CONTRACT_CASES = {
 }
 
 
-@pytest.mark.parametrize("command", ["report", "fit-arrival"])
+@pytest.mark.parametrize("command", ["report"])
 def test_bucket_days_is_checked_before_the_input_is_read(tmp_path, capsys, command):
     missing = str(tmp_path / "missing")
-    inputs = {"report": ["--ledger", missing, "--svg", str(tmp_path / "out.svg")],
-              "fit-arrival": ["--series", missing]}
-    assert run([command, *inputs[command], "--bucket-days", "0"]) == EXIT_VALIDATION
+    inputs = ["--ledger", missing, "--svg", str(tmp_path / "out.svg")]
+    assert run([command, *inputs, "--bucket-days", "0"]) == EXIT_VALIDATION
     (error,) = capsys.readouterr().err.splitlines()
     assert error.startswith("error: --bucket-days must be within (0, ")
 
@@ -766,6 +770,16 @@ def test_bucket_days_is_checked_before_the_input_is_read(tmp_path, capsys, comma
 #: The whole stderr of the contract cases whose message is pinned.
 CONTRACT_STDERR = {
     "forecast --units 0 --table": "error: invalid grid parameters\n  units must be >= 1, got 0\n",
+    # Flags that the chosen mode would otherwise ignore.
+    "forecast --trials and --seed without --monte-carlo": (
+        "error: --trials and --seed apply only to --monte-carlo\n"
+    ),
+    "forecast --seed without --monte-carlo": (
+        "error: --trials and --seed apply only to --monte-carlo\n"
+    ),
+    "forecast --table --trials": "error: --trials and --seed apply only to --monte-carlo\n",
+    "forecast --table --dir": "error: --dir and --dre do not apply to --table output\n",
+    "forecast --table --dre": "error: --dir and --dre do not apply to --table output\n",
     # A width that a timedelta rounds to zero microseconds.
     "report --bucket-days 1e-12": "error: --bucket-days 1e-12 rounds to a zero-width bucket\n",
     # Two defects over a subnormal size is a density beyond float range.
@@ -845,7 +859,7 @@ def _flag_argvs(draw, inputs: dict) -> list[str]:
         argv = ["estimate", f"--uf={draw(_ints)}", *maybe("--model", st.sampled_from(
             ["linear", "sqrt", "both"]))]
     elif command == "fit-arrival":
-        argv = ["fit-arrival", "--series", inputs["series"], *maybe("--bucket-days", _floats)]
+        argv = ["fit-arrival", "--series", inputs["series"]]
     else:
         argv = ["report", "--ledger", inputs["ledger"], "--svg", inputs["svg"],
                 *maybe("--bucket-days", _floats)]

@@ -132,6 +132,14 @@ class TestParseDefectLog:
         assert "row 1" in str(err.value)
         assert "row 2" in str(err.value)
 
+    def test_blank_line_is_skipped_but_counts_toward_row_numbers(self):
+        row = "d1,m1,build,review,2004-03-01T10:00:00Z,,2,open,\n"
+        assert [r.id for r in parse_defect_log(HEADER + "\n\n" + row)] == ["d1"]
+        bad = "d2,m1,build,review,2004-03-01T10:00:00Z,,9,open,\n"
+        with pytest.raises(ValidationError) as err:
+            parse_defect_log(HEADER + "\n" + row + "\n" + bad)
+        assert err.value.diagnostics == ("row 3: severity must be in 1..4, got 9",)
+
     def test_oversized_field_is_a_validation_error(self):
         text = HEADER + "\nd1,m1,build,review,2004-03-01T10:00:00Z,,2,open," + "x" * 140_000 + "\n"
         with pytest.raises(ValidationError, match="defect log line 2: field larger"):
@@ -235,6 +243,15 @@ class TestProductRegistry:
     def test_not_an_array_rejected(self):
         with pytest.raises(ValidationError, match="JSON array"):
             parse_product_registry('{"product_id":"m1"}')
+
+    @pytest.mark.parametrize(("text", "diagnostic"), [
+        ('[{"product_id":"","unique_formulas":1}]', "entry 0: product_id must be non-empty"),
+        ("[1]", "entry 0: expected an object"),
+    ], ids=["empty product_id", "entry not an object"])
+    def test_entry_problem_named(self, text, diagnostic):
+        with pytest.raises(ValidationError) as err:
+            parse_product_registry(text)
+        assert err.value.diagnostics == (diagnostic,)
 
     def test_registry_round_trip(self):
         profiles = [
@@ -395,6 +412,18 @@ class TestLedgerDocument:
     def test_malformed_document_rejected(self):
         with pytest.raises(ValidationError, match="'products' and 'defects'"):
             load_ledger('{"products": []}')
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ('{"products": [], "defects": [1]}',
+         "ledger failed validation\n  defects[0]: expected an object"),
+        ('{"products": {}, "defects": []}', "ledger 'products' and 'defects' must be arrays"),
+        ('{"products": [}',
+         "ledger is not valid JSON: Expecting value: line 1 column 15 (char 14)"),
+    ], ids=["defect not an object", "products not an array", "invalid JSON"])
+    def test_document_problem_named(self, text, message):
+        with pytest.raises(ValidationError) as caught:
+            load_ledger(text)
+        assert str(caught.value) == message
 
 
 class TestDefectRecordContract:

@@ -136,6 +136,16 @@ PARITY_CASES = {
         ("defects[0]: fix_changes must be an integer or null, got True",),
         ("row 1: fix_changes must be an integer or null, got 'True'",),
     ),
+    "empty id": (
+        {"id": ""},
+        ("defects[0]: id must be non-empty",),
+        ("row 1: id must be non-empty",),
+    ),
+    "empty product_id": (
+        {"product_id": ""},
+        ("defects[0]: product_id must be non-empty",),
+        ("row 1: product_id must be non-empty",),
+    ),
 }
 
 

@@ -87,6 +87,16 @@ class TestRemovalEfficiency:
         with pytest.raises(ValidationError, match="exceeds total_present"):
             removal_efficiency(41, 40)
 
+    @pytest.mark.parametrize(("removed", "total", "message"), [
+        (6, 5, "removed_by_process 6 exceeds total_present 5"),
+        (1, 0, "total_present must be positive, got 0"),
+        (-1, 5, "removed_by_process must be >= 0, got -1"),
+    ])
+    def test_rejection_message(self, removed, total, message):
+        with pytest.raises(ValidationError) as caught:
+            removal_efficiency(removed, total)
+        assert str(caught.value) == message
+
     @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(0, 1000))
     def test_monotone_in_removed_count(self, total, extra, removed):
         removed = min(removed, total)

@@ -153,6 +153,11 @@ class TestFitType:
         with pytest.raises(ValidationError, match="buckets_used"):
             RayleighFit(k_total=1.0, sigma=1.0, sse=0.0, buckets_used=2)
 
+    def test_rejects_negative_sse(self):
+        with pytest.raises(ValidationError) as caught:
+            RayleighFit(k_total=1.0, sigma=1.0, sse=-1.0, buckets_used=3)
+        assert str(caught.value) == "invalid arrival fit\n  sse must be >= 0, got -1.0"
+
 
 class TestProjection:
     def test_eighty_at_peak_projects_203(self):

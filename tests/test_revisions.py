@@ -473,6 +473,11 @@ class TestMonteCarlo:
         outcome = simulate_monte_carlo(params, trials=1000, seed=3)
         assert outcome.mean_revisions == pytest.approx(2.0, abs=0.01)
 
+    def test_outcome_type_rejects_zero_trials(self):
+        with pytest.raises(ValidationError) as caught:
+            McOutcome(trials=0, seed=1, histogram={})
+        assert str(caught.value) == "invalid Monte Carlo outcome\n  trials must be >= 1, got 0"
+
     def test_outcome_type_rejects_inconsistent_histogram(self):
         with pytest.raises(ValidationError, match="histogram"):
             McOutcome(trials=3, seed=1, histogram={2: 2})
@@ -532,6 +537,13 @@ class TestInferEfficiency:
     def test_total_reinjection_rejected(self):
         with pytest.raises(ValidationError, match="must be < 1"):
             infer_efficiency(100.0, 5, 1.0)
+
+    def test_nonpositive_initial_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            infer_efficiency(0.0, 5, 0.1)
+        assert str(caught.value) == (
+            "invalid inverse-estimation inputs\n  initial defects must be positive, got 0.0"
+        )
 
     def test_single_revision_rejected(self):
         with pytest.raises(ValidationError, match="revisions"):

@@ -77,6 +77,11 @@ class TestModelTypes:
         with pytest.raises(ValidationError, match="slope"):
             LinearSizeModel(intercept=5.0, slope=-0.1)
 
+    def test_non_finite_intercept_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            LinearSizeModel(intercept=math.nan, slope=0.5)
+        assert str(caught.value) == "model parameters must be finite"
+
     def test_negative_intercept_is_representable(self):
         # Fits may legitimately produce one; only the slope sign is policed.
         assert LinearSizeModel(intercept=-4.0, slope=0.2).intercept == -4.0
