@@ -55,7 +55,6 @@ _PUBLIC = {
         "ProcessParams",
         "RevisionGrid",
         "RevisionTrajectory",
-        "divergence_report",
         "grid_to_csv",
         "grid_to_json",
         "infer_efficiency",

@@ -199,7 +199,8 @@ class DefectRecord(Value):
             problems.append("product_id must be non-empty")
         if phase_found is _UNKNOWN:
             problems.append("phase_found may not be 'unknown'")
-        if found_at.tzinfo is not _UTC and not _is_utc(found_at):
+        found_utc = found_at.tzinfo is _UTC or _is_utc(found_at)
+        if not found_utc:
             problems.append("found_at must be a UTC timestamp")
         lo, hi = SEVERITY_RANGE
         if not lo <= severity <= hi:
@@ -212,7 +213,7 @@ class DefectRecord(Value):
         if fixed_at is not None:
             if fixed_at.tzinfo is not _UTC and not _is_utc(fixed_at):
                 problems.append("fixed_at must be a UTC timestamp")
-            elif fixed_at < found_at:
+            elif found_utc and fixed_at < found_at:
                 problems.append(
                     f"fixed_at {format_timestamp(fixed_at)} is earlier than "
                     f"found_at {format_timestamp(found_at)}"
@@ -529,9 +530,12 @@ def parse_series(text: str) -> tuple[list[int], float | None]:
         raise ValidationError(
             f"bucket spacing of {width:g} days is wider than {timedelta.max.days} days"
         )
+    # Each day offset carries up to an ulp of rounding, and each check
+    # compares two differences of two starts.
+    slack = 1e-6 * width + 4.0 * math.ulp(max(abs(starts[0]), abs(starts[-1])))
     for i in range(1, len(starts) - 1):
         gap = starts[i + 1] - starts[i]
-        if abs(gap - width) > 1e-6 * max(1.0, abs(width)):
+        if abs(gap - width) > slack:
             raise ValidationError(
                 f"bucket spacing is not uniform: gap after row {i + 1} is {gap:g} "
                 f"days, expected {width:g}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NonConvergenceError, ValidationError, Value, show_int
 
@@ -61,34 +61,41 @@ class RayleighFit(Value):
             raise ValidationError("invalid arrival fit", problems)
 
 
-def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
-    """Cumulative defects discovered by time t."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+def _unit_curve(sigma: float, times: Iterable[float]) -> list[float]:
+    """The unit-K cumulative curve 1 - exp(-t^2 / (2*sigma^2)) at each time."""
+    scale = 2.0 * sigma * sigma
+    return [-math.expm1(-(t * t) / scale) for t in times]
+
+
+def _check_curve(k_total: float, sigma: float) -> None:
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if k_total <= 0:
         raise ValidationError(f"k_total must be positive, got {k_total}")
-    return k_total * -math.expm1(-(t * t) / (2.0 * sigma * sigma))
+
+
+def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
+    """Cumulative defects discovered by time t."""
+    if t < 0:
+        raise ValidationError(f"t must be >= 0, got {t}")
+    _check_curve(k_total, sigma)
+    return k_total * _unit_curve(sigma, (t,))[0]
 
 
 def expected_bucket_counts(k_total: float, sigma: float, buckets: int) -> list[float]:
     """Per-bucket expected discoveries implied by the model."""
     if buckets < 1:
         raise ValidationError(f"buckets must be >= 1, got {show_int(buckets)}")
-    edges = [rayleigh_cdf(float(i), k_total, sigma) for i in range(buckets + 1)]
+    _check_curve(k_total, sigma)
+    edges = [k_total * g for g in _unit_curve(sigma, map(float, range(buckets + 1)))]
     return [b - a for a, b in zip(edges, edges[1:])]
 
 
-def _closed_form_k(cumulative: Sequence[float], shape: Sequence[float]) -> float:
+def _sse_at(sigma: float, cumulative: Sequence[float], edges: Sequence[float]) -> tuple[float, float]:
+    shape = _unit_curve(sigma, edges)
     # For fixed sigma the SSE is quadratic in K; its minimizer is the
     # projection of the cumulative data onto the unit-K curve.
-    return sum(c * g for c, g in zip(cumulative, shape)) / sum(g * g for g in shape)
-
-
-def _sse_at(sigma: float, cumulative: Sequence[float], edges: Sequence[float]) -> tuple[float, float]:
-    shape = [-math.expm1(-(t * t) / (2.0 * sigma * sigma)) for t in edges]
-    k = _closed_form_k(cumulative, shape)
+    k = sum(c * g for c, g in zip(cumulative, shape)) / sum(g * g for g in shape)
     sse = sum((c - k * g) ** 2 for c, g in zip(cumulative, shape))
     return sse, k
 

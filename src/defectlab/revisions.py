@@ -58,8 +58,8 @@ PUBLISHED_GRID_UNITS = 2000
 #: not as an oracle: the rows at 50% efficiency and below sit far from
 #: anything the decay recurrence can produce, and the source grid is
 #: itself non-monotone there (6 revisions at 50% efficiency but 7 at
-#: 60%, in the 3% injection column), so divergence_report() ships the
-#: comparison instead of forcing a match.
+#: 60%, in the 3% injection column), so grid_to_json() ships the
+#: comparison in each cell instead of forcing a match.
 PUBLISHED_REVISIONS = {
     (20, 3): 15, (20, 4): 17, (20, 5): 18, (20, 7): 20,
     (20, 10): 22, (20, 15): 25, (20, 20): 29, (20, 30): 37,
@@ -302,46 +302,28 @@ def grid_to_csv(grid: RevisionGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def divergence_report(grid: RevisionGrid) -> list[dict]:
-    """Cell-by-cell comparison of the model against the published grid.
-
-    Every cell of the input grid appears once.  ``published`` and
-    ``delta`` are None when the grid was built for a unit count other
-    than PUBLISHED_GRID_UNITS.
-    """
+def grid_to_json(grid: RevisionGrid) -> str:
+    """Grid as JSON: axes, per-cell forecasts with trajectories, and
+    the comparison against the published reference grid.  Each cell's
+    ``published`` and ``delta`` are null when the grid was built for a
+    unit count other than PUBLISHED_GRID_UNITS."""
     reference = grid.units == PUBLISHED_GRID_UNITS
-    report = []
+    cells = []
     for dre, row in zip(DEFAULT_REMOVAL_EFFICIENCIES, grid.cells):
-        for dir_, model in zip(DEFAULT_INJECTION_RATES, row):
+        for dir_, revisions in zip(DEFAULT_INJECTION_RATES, row):
             published = (
                 PUBLISHED_REVISIONS[round(dre * 100), round(dir_ * 100)] if reference else None
             )
-            report.append({
+            cells.append({
                 "removal_efficiency": dre,
                 "injection_rate": dir_,
-                "model": model,
+                "revisions": revisions,
+                # No cell diverges; the key is kept so the document keeps its shape.
+                "divergent": False,
+                "trajectory": _decay_states(grid.units * dir_, dir_, dre, grid.threshold),
                 "published": published,
-                "delta": None if published is None else model - published,
+                "delta": None if published is None else revisions - published,
             })
-    return report
-
-
-def grid_to_json(grid: RevisionGrid) -> str:
-    """Grid as JSON: axes, per-cell forecasts with trajectories, and
-    the comparison against the published reference grid."""
-    cells = []
-    for cell in divergence_report(grid):
-        dre, dir_ = cell["removal_efficiency"], cell["injection_rate"]
-        cells.append({
-            "removal_efficiency": dre,
-            "injection_rate": dir_,
-            "revisions": cell["model"],
-            # No cell diverges; the key is kept so the document keeps its shape.
-            "divergent": False,
-            "trajectory": _decay_states(grid.units * dir_, dir_, dre, grid.threshold),
-            "published": cell["published"],
-            "delta": cell["delta"],
-        })
     payload = {
         "units": grid.units,
         "threshold": grid.threshold,

@@ -20,10 +20,10 @@ from conftest import EPOCH, make_record
 from defectlab import (
     ProcessParams,
     arrival_series,
-    divergence_report,
     expected_bucket_counts,
     fit_arrival,
     fit_linear,
+    grid_to_json,
     infer_efficiency,
     initial_defects,
     linear_estimate,
@@ -89,7 +89,7 @@ def test_criterion_2_worked_example_three_revisions():
 def test_criterion_3_reference_grid_agreement():
     with _criterion(
         "criterion 3: high-efficiency grid rows within +/-1 (>=12/16 exact); "
-        "divergence report covers 72 cells"
+        "the grid's JSON compares all 72 cells"
     ):
         grid = revision_table(2000)
         exact = 0
@@ -108,9 +108,9 @@ def test_criterion_3_reference_grid_agreement():
             published = PUBLISHED_REVISIONS[(60, round(dir_rate * 100))]
             assert abs(model - published) <= 1
 
-        report = divergence_report(grid)
-        assert len(report) == 72
-        assert all(entry["published"] is not None for entry in report)
+        cells = json.loads(grid_to_json(grid))["cells"]
+        assert len(cells) == 72
+        assert all(cell["published"] is not None for cell in cells)
 
         result = _cli("forecast", "--units", "2000", "--table")
         assert result.returncode == 0, result.stderr

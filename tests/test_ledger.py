@@ -323,11 +323,25 @@ class TestArrivalSeries:
 SERIES_HEADER = "bucket_start,count\n"
 
 
+def _iso_series(width: timedelta, rows: int) -> str:
+    """Rows of count 1 at UTC starts ``width`` apart, from 2004."""
+    start = datetime(2004, 1, 1, tzinfo=timezone.utc)
+    return "".join(f"{(start + i * width).isoformat()},1\n" for i in range(rows))
+
+
 class TestParseSeries:
     @pytest.mark.parametrize(("body", "expected"), [
         ("0,5\n", ([5], None)),
         ("0,1\n999999999,2\n", ([1, 2], 999999999.0)),
-    ], ids=["one row leaves the width open", "widest bucket"])
+        # Day offsets in 2004 round to about 2e-12 days, so a narrow bucket
+        # is inferred only that closely, and here its spacing strays from
+        # uniform by up to three ulps of the starts.
+        (_iso_series(timedelta(milliseconds=1), 400),
+         ([1] * 400, pytest.approx(1e-3 / 86400, abs=4e-12))),
+        (_iso_series(timedelta(microseconds=12), 20),
+         ([1] * 20, pytest.approx(12e-6 / 86400, abs=4e-12))),
+    ], ids=["one row leaves the width open", "widest bucket", "1 ms ISO buckets",
+            "12 us ISO buckets"])
     def test_counts_and_inferred_width(self, body, expected):
         assert parse_series(SERIES_HEADER + body) == expected
 
@@ -339,8 +353,14 @@ class TestParseSeries:
         ("1,1\n1,2\n", "bucket_start values must be strictly increasing"),
         ("2,1\n1,2\n", "bucket_start values must be strictly increasing"),
         ("0,1\n1000000000,2\n", "bucket spacing of 1e+09 days is wider than 999999999 days"),
+        ("0,1\n1e-9,2\n1e-7,3\n",
+         "bucket spacing is not uniform: gap after row 2 is 9.9e-08 days, expected 1e-09"),
+        ("2004-03-01T00:00:00Z,1\n2004-03-01T00:00:00.001Z,2\n2004-03-01T00:00:00.050Z,3\n",
+         "bucket spacing is not uniform: gap after row 2 is 5.6713e-07 days, "
+         "expected 1.15724e-08"),
     ], ids=["non-finite start", "negative count", "no data rows", "repeated start",
-            "decreasing starts", "wider than a timedelta"])
+            "decreasing starts", "wider than a timedelta", "uneven sub-day offsets",
+            "uneven millisecond stamps"])
     def test_rejected(self, body, message):
         with pytest.raises(ValidationError) as caught:
             parse_series(SERIES_HEADER + body)
@@ -470,6 +490,15 @@ class TestDefectRecordContract:
         assert with_fields(record, severity=4).severity == 4
         with pytest.raises(ValidationError, match="severity must be in 1..4, got 9"):
             with_fields(record, severity=9)
+
+    @pytest.mark.parametrize("field", ["found_at", "fixed_at"])
+    @pytest.mark.parametrize("zone", [None, timezone(timedelta(hours=2))], ids=["naive", "+02:00"])
+    def test_timestamps_must_be_utc(self, field, zone):
+        record = make_record(fixed_offset_h=5)
+        stamp = getattr(record, field).replace(tzinfo=zone)
+        with pytest.raises(ValidationError) as caught:
+            with_fields(record, **{field: stamp})
+        assert str(caught.value) == f"invalid defect record 'd1'\n  {field} must be a UTC timestamp"
 
     def test_slotted_without_instance_dict(self):
         record = DefectRecord(*self.FIELDS)

@@ -73,6 +73,11 @@ PARITY_CASES = {
         ("defects[0]: severity must be an integer, got 'high'",),
         ("row 1: severity must be an integer, got 'high'",),
     ),
+    "unknown status": (
+        {"status": "lost"},
+        ("defects[0]: unknown status 'lost'",),
+        ("row 1: unknown status 'lost'",),
+    ),
     "bad phase after a bad severity": (
         {"severity": "high", "phase_found": "sideways"},
         ("defects[0]: unknown phase_found 'sideways'",),

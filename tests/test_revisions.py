@@ -15,7 +15,6 @@ from defectlab import (
     ProcessParams,
     RevisionTrajectory,
     ValidationError,
-    divergence_report,
     grid_to_csv,
     grid_to_json,
     infer_efficiency,
@@ -36,6 +35,7 @@ from defectlab.revisions import (
     PUBLISHED_REVISIONS,
     SIGNOFF_THRESHOLD,
     RevisionGrid,
+    _decay_states,
 )
 
 AUDITED = ProcessParams(units=2182, injection_rate=0.07, removal_efficiency=0.75)
@@ -248,6 +248,17 @@ class TestTrajectoryType:
         with pytest.raises(ValidationError, match="strictly decrease"):
             RevisionTrajectory(params=AUDITED, expected_defects=(10.0, 10.0))
 
+    @pytest.mark.parametrize(
+        "counts", [(10.0, -1.0), (10.0, float("nan")), (float("inf"), 0.1)],
+        ids=["negative", "nan", "infinite"],
+    )
+    def test_negative_or_non_finite_count_rejected(self, counts):
+        with pytest.raises(ValidationError) as caught:
+            RevisionTrajectory(params=AUDITED, expected_defects=counts)
+        assert str(caught.value) == (
+            "invalid revision trajectory\n  expected defect counts must be finite and >= 0"
+        )
+
     def test_unfinished_trajectory_rejected(self):
         with pytest.raises(ValidationError, match="threshold"):
             RevisionTrajectory(params=AUDITED, expected_defects=(10.0,))
@@ -330,24 +341,15 @@ class TestGridSerialization:
 
 
 class TestDivergenceReport:
-    def test_covers_every_published_cell(self):
-        report = divergence_report(revision_table(2000))
-        assert len(report) == 72
-        assert all(entry["published"] is not None for entry in report)
-        assert all(
-            entry["delta"] == entry["model"] - entry["published"] for entry in report
-        )
+    """The model's divergence from the published grid, as reported in
+    grid_to_json's cells."""
 
     def test_high_efficiency_rows_stay_within_one(self):
-        report = divergence_report(revision_table(2000))
-        close = [e for e in report if e["removal_efficiency"] >= 0.80]
+        cells = json.loads(grid_to_json(revision_table(2000)))["cells"]
+        close = [cell for cell in cells if cell["removal_efficiency"] >= 0.80]
         assert len(close) == 16
-        assert all(abs(e["delta"]) <= 1 for e in close)
-        assert sum(1 for e in close if e["delta"] == 0) >= 12
-
-    def test_published_absent_for_other_unit_counts(self):
-        report = divergence_report(revision_table(1000))
-        assert all(e["published"] is None for e in report)
+        assert all(abs(cell["delta"]) <= 1 for cell in close)
+        assert sum(1 for cell in close if cell["delta"] == 0) >= 12
 
     def test_grid_off_the_published_axes_rejected(self):
         # The grid holds no axes of its own, so none can be passed in ...
@@ -523,6 +525,15 @@ class TestInferEfficiency:
         assert settles(efficiency)
         if efficiency > 1.5e-6:
             assert not settles(efficiency - 1.5e-6)
+
+    def test_revision_cap_bounds_the_answer(self):
+        # A target past MAX_REVISIONS: below the answer, the recurrence hits
+        # the cap and raises, which the bisection counts as falling short.
+        efficiency = infer_efficiency(1000.0, revisions=10**6, injection_rate=0.0)
+        assert efficiency == 7.62939453125e-05
+        assert len(_decay_states(1000.0, 0.0, efficiency, SIGNOFF_THRESHOLD)) <= MAX_REVISIONS
+        with pytest.raises(DivergenceError, match="no sign-off within 100000 revisions"):
+            _decay_states(1000.0, 0.0, efficiency - 1e-6, SIGNOFF_THRESHOLD)
 
     def test_three_revision_crunch_needs_heroic_review(self):
         assert infer_efficiency(60.0, 3, 0.03) == pytest.approx(0.9368, abs=1e-3)
