@@ -17,9 +17,7 @@ _PUBLIC = {
     "errors": ("DefectLabError", "DivergenceError", "NonConvergenceError", "ValidationError"),
     "ledger": (
         "DefectRecord",
-        "Phase",
         "ProductProfile",
-        "Status",
         "arrival_series",
         "build_ledger",
         "dump_ledger",

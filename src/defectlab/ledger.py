@@ -18,11 +18,10 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from datetime import datetime, timedelta, timezone
-from enum import Enum
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import ValidationError, Value, above_max_count, show_int
+from .errors import MAX_COUNT, ValidationError, Value, above_max_count, show_int
 
 T = TypeVar("T")
 
@@ -58,36 +57,19 @@ SEVERITY_RANGE = (1, 4)
 MAX_BUCKETS = 100_000
 
 
-class Phase(str, Enum):
-    """Lifecycle phase in which a defect can be injected or found."""
+class Term(str):
+    """A phase or status string.  Its ``value`` is the plain string, so code
+    that reads ``record.status.value``, as of an enum member, keeps working."""
 
-    REQUIREMENTS = "requirements"
-    DESIGN = "design"
-    BUILD = "build"
-    REVIEW = "review"
-    TEST = "test"
-    USE = "use"
-    UNKNOWN = "unknown"
+    __slots__ = ()
+    value = property(str.__str__)
 
 
-class Status(str, Enum):
-    """Workflow state of a defect record."""
+#: Phases in lifecycle order, and statuses, each mapped to the one copy records hold.
+PHASES = {p: Term(p) for p in "requirements design build review test use unknown".split()}
+STATUSES = {s: Term(s) for s in ("open", "fixed", "deferred")}
+_UNKNOWN, _FIXED = PHASES["unknown"], STATUSES["fixed"]
 
-    OPEN = "open"
-    FIXED = "fixed"
-    DEFERRED = "deferred"
-
-
-#: Enum members by value, for the record decoder, and values by member,
-#: for the encoder: a dict lookup is cheaper than the ``value`` property.
-_PHASES = {phase.value: phase for phase in Phase}
-_STATUSES = {status.value: status for status in Status}
-_ENUM_VALUES = {member: member.value for member in (*Phase, *Status)}
-
-#: Module constants for the per-record checks: a global is cheaper than
-#: an attribute lookup, and an enum class's lookup most of all.
-_UNKNOWN = Phase.UNKNOWN
-_FIXED = Status.FIXED
 _UTC = timezone.utc
 _ZERO = timedelta(0)
 
@@ -99,12 +81,11 @@ def parse_timestamp(text: str) -> datetime:
     timestamps and non-UTC offsets are rejected so that records from
     different sources always compare on the same clock.
 
-    The text first goes to ``datetime.fromisoformat`` as it stands; on
-    Python 3.11 and later that reads ``Z`` itself, and a UTC result is
-    returned at once.  Everything else (surrounding whitespace, a
-    lowercase ``z``, a rejected or non-UTC stamp, and every stamp on
-    Python 3.10) takes the path below, which strips and normalises the
-    text first.  Both paths give the same result or message.
+    The text first goes to ``datetime.fromisoformat`` as it stands,
+    which reads ``Z`` itself, and a UTC result is returned at once.
+    Everything else (surrounding whitespace, a lowercase ``z``, and a
+    rejected or non-UTC stamp) takes the path below, which strips and
+    normalises the text first.  Both paths give the same result or message.
     """
     try:
         stamp = datetime.fromisoformat(text)
@@ -143,9 +124,11 @@ def _is_utc(stamp: datetime) -> bool:
 class DefectRecord(Value):
     """One logged defect.
 
-    ``fixed_at`` is present exactly when ``status`` is FIXED; a record
-    cannot be fixed before it was found.  ``fix_changes`` counts the
-    cells or components touched by the fix, when that was recorded.
+    Each field has exactly the type ``__init__`` names; a phase or status may be a :class:`Term`.
+    The phases are in :data:`PHASES`, and ``phase_found`` is not ``"unknown"``;
+    the status is in :data:`STATUSES`, and is ``"fixed"`` exactly when ``fixed_at``
+    is present, not before ``found_at``.  The record holds those mappings' terms.
+    ``fix_changes`` counts the cells or components the fix touched.
 
     The fields are slots, in column order, so a record has no
     ``__dict__``; ``fix_changes`` defaults to None in ``__init__``.
@@ -155,24 +138,24 @@ class DefectRecord(Value):
 
     id: str
     product_id: str
-    phase_injected: Phase
-    phase_found: Phase
+    phase_injected: Term
+    phase_found: Term
     found_at: datetime
     fixed_at: datetime | None
     severity: int
-    status: Status
+    status: Term
     fix_changes: int | None
 
     def __init__(
         self,
         id: str,
         product_id: str,
-        phase_injected: Phase,
-        phase_found: Phase,
+        phase_injected: str,
+        phase_found: str,
         found_at: datetime,
         fixed_at: datetime | None,
         severity: int,
-        status: Status,
+        status: str,
         fix_changes: int | None = None,
     ) -> None:
         # The slots' own setters fill the fields in under half the time
@@ -184,20 +167,43 @@ class DefectRecord(Value):
         ) = _SLOT_SETTERS
         set_id(self, id)
         set_product_id(self, product_id)
-        set_phase_injected(self, phase_injected)
-        set_phase_found(self, phase_found)
         set_found_at(self, found_at)
         set_fixed_at(self, fixed_at)
         set_severity(self, severity)
-        set_status(self, status)
         set_fix_changes(self, fix_changes)
+        if not (
+            type(id) is str and type(product_id) is str and type(phase_injected) in _TEXT
+            and type(phase_found) in _TEXT and type(found_at) is datetime
+            and (fixed_at is None or type(fixed_at) is datetime)
+            and type(severity) is int and type(status) in _TEXT
+            and (fix_changes is None or type(fix_changes) is int)
+        ):
+            values = (id, product_id, phase_injected, phase_found, found_at, fixed_at, severity,
+                      status, fix_changes)
+            # Each problem names the value's type: the repr of an over-long integer raises.
+            raise ValidationError("invalid defect record", [
+                f"{name} must be {' or '.join(kind.__name__ for kind in kinds)}, "
+                f"got {type(value).__name__}"
+                for name, value, kinds in zip(DEFECT_CSV_COLUMNS, values, _FIELD_TYPES)
+                if type(value) not in kinds
+            ])
+        # A record holds the module's copy of each phase and status.
+        injected, found = PHASES.get(phase_injected), PHASES.get(phase_found)
+        state = STATUSES.get(status)
+        set_phase_injected(self, injected)
+        set_phase_found(self, found)
+        set_status(self, state)
 
         problems = []
         if not id:
             problems.append("id must be non-empty")
         if not product_id:
             problems.append("product_id must be non-empty")
-        if phase_found is _UNKNOWN:
+        if injected is None:
+            problems.append(f"unknown phase_injected {phase_injected!r}")
+        if found is None:
+            problems.append(f"unknown phase_found {phase_found!r}")
+        elif found is _UNKNOWN:
             problems.append("phase_found may not be 'unknown'")
         found_utc = found_at.tzinfo is _UTC or _is_utc(found_at)
         if not found_utc:
@@ -205,9 +211,11 @@ class DefectRecord(Value):
         lo, hi = SEVERITY_RANGE
         if not lo <= severity <= hi:
             problems.append(f"severity must be in {lo}..{hi}, got {show_int(severity)}")
-        if (status is _FIXED) != (fixed_at is not None):
+        if state is None:
+            problems.append(f"unknown status {status!r}")
+        elif (state is _FIXED) != (fixed_at is not None):
             problems.append(
-                f"status {status.value!r} is inconsistent with "
+                f"status {state!r} is inconsistent with "
                 f"fixed_at {'present' if fixed_at else 'absent'}"
             )
         if fixed_at is not None:
@@ -218,8 +226,9 @@ class DefectRecord(Value):
                     f"fixed_at {format_timestamp(fixed_at)} is earlier than "
                     f"found_at {format_timestamp(found_at)}"
                 )
-        if fix_changes is not None and fix_changes < 0:
-            problems.append(f"fix_changes must be >= 0, got {show_int(fix_changes)}")
+        if fix_changes is not None and not 0 <= fix_changes <= MAX_COUNT:
+            problems.append(above_max_count("fix_changes", fix_changes)
+                            or f"fix_changes must be >= 0, got {show_int(fix_changes)}")
         if problems:
             raise ValidationError(f"invalid defect record {id!r}", problems)
 
@@ -230,6 +239,12 @@ class DefectRecord(Value):
 
 #: Each slot's setter, in field order, for DefectRecord.__init__.
 _SLOT_SETTERS = tuple(getattr(DefectRecord, name).__set__ for name in DefectRecord.__slots__)
+
+#: Each field's types, in field order.
+_TEXT, _NONE = (str, Term), type(None)
+_FIELD_TYPES = (
+    (str,), (str,), _TEXT, _TEXT, (datetime,), (datetime, _NONE), (int,), _TEXT, (int, _NONE)
+)
 
 
 class ProductProfile(Value):
@@ -374,24 +389,20 @@ def _record_from_values(values: Sequence) -> DefectRecord:
                 raise ValidationError(f"{key} must be a string, got {value!r}")
     if fixed_at is not None and type(fixed_at) is not str:
         raise ValidationError(f"fixed_at must be a string or null, got {fixed_at!r}")
-    phase_injected = _PHASES.get(injected)
-    if phase_injected is None:
+    if injected not in PHASES:
         raise ValidationError(f"unknown phase_injected {injected!r}")
-    phase_found = _PHASES.get(found)
-    if phase_found is None:
+    if found not in PHASES:
         raise ValidationError(f"unknown phase_found {found!r}")
     found_stamp = parse_timestamp(found_at)
     fixed_stamp = parse_timestamp(fixed_at) if fixed_at else None
     if type(severity) is not int:
         raise ValidationError(f"severity must be an integer, got {severity!r}")
-    member = _STATUSES.get(status)
-    if member is None:
+    if status not in STATUSES:
         raise ValidationError(f"unknown status {status!r}")
     if changes is not None and type(changes) is not int:
         raise ValidationError(f"fix_changes must be an integer or null, got {changes!r}")
     return DefectRecord(
-        ident, product, phase_injected, phase_found, found_stamp, fixed_stamp,
-        severity, member, changes,
+        ident, product, injected, found, found_stamp, fixed_stamp, severity, status, changes
     )
 
 
@@ -399,12 +410,12 @@ def _record_to_dict(record: DefectRecord) -> dict:
     return {
         "id": record.id,
         "product_id": record.product_id,
-        "phase_injected": _ENUM_VALUES[record.phase_injected],
-        "phase_found": _ENUM_VALUES[record.phase_found],
+        "phase_injected": record.phase_injected,
+        "phase_found": record.phase_found,
         "found_at": format_timestamp(record.found_at),
         "fixed_at": format_timestamp(record.fixed_at) if record.fixed_at else None,
         "severity": record.severity,
-        "status": _ENUM_VALUES[record.status],
+        "status": record.status,
         "fix_changes": record.fix_changes,
     }
 

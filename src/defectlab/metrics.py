@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from datetime import timedelta
 
 from .errors import ValidationError, Value, above_max_count, show_int
-from .ledger import DefectRecord, ProductProfile, Status
+from .ledger import DefectRecord, ProductProfile
 
 #: Field order for MetricsSummary serialization (JSON and CSV).
 SUMMARY_FIELDS = (
@@ -153,7 +153,7 @@ def summarize(records: Sequence[DefectRecord], profile: ProductProfile) -> Metri
     density_kloc = None
     if profile.kloc is not None:
         density_kloc = defect_density(count, profile.kloc)
-    fixed = sum(1 for r in records if r.status is Status.FIXED)
+    fixed = sum(1 for r in records if r.status == "fixed")
     return MetricsSummary(
         product_id=profile.product_id,
         defect_count=count,

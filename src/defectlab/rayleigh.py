@@ -68,15 +68,15 @@ def _unit_curve(sigma: float, times: Iterable[float]) -> list[float]:
 
 
 def _check_curve(k_total: float, sigma: float) -> None:
-    if sigma <= 0:
+    if not math.isfinite(sigma) or sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    if k_total <= 0:
+    if not math.isfinite(k_total) or k_total <= 0:
         raise ValidationError(f"k_total must be positive, got {k_total}")
 
 
 def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
     """Cumulative defects discovered by time t."""
-    if t < 0:
+    if not math.isfinite(t) or t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     _check_curve(k_total, sigma)
     return k_total * _unit_curve(sigma, (t,))[0]
@@ -95,8 +95,9 @@ def _sse_at(sigma: float, cumulative: Sequence[float], edges: Sequence[float]) -
     shape = _unit_curve(sigma, edges)
     # For fixed sigma the SSE is quadratic in K; its minimizer is the
     # projection of the cumulative data onto the unit-K curve.
-    k = sum(c * g for c, g in zip(cumulative, shape)) / sum(g * g for g in shape)
-    sse = sum((c - k * g) ** 2 for c, g in zip(cumulative, shape))
+    # fsum rounds each sum exactly, so the fit is the same on every Python.
+    k = math.fsum(c * g for c, g in zip(cumulative, shape)) / math.fsum(g * g for g in shape)
+    sse = math.fsum((c - k * g) ** 2 for c, g in zip(cumulative, shape))
     return sse, k
 
 

@@ -113,8 +113,9 @@ def fit_linear(points: Sequence[SizePoint]) -> LinearSizeModel:
     n = len(points)
     mean_x = sum(p.uf for p in points) / n
     mean_y = sum(p.issues for p in points) / n
-    sxx = sum((p.uf - mean_x) ** 2 for p in points)
-    sxy = sum((p.uf - mean_x) * (p.issues - mean_y) for p in points)
+    # fsum rounds each float sum exactly, so the fit is the same on every Python.
+    sxx = math.fsum((p.uf - mean_x) ** 2 for p in points)
+    sxy = math.fsum((p.uf - mean_x) * (p.issues - mean_y) for p in points)
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
     if intercept < 0:
@@ -134,14 +135,14 @@ def fit_sqrt(points: Sequence[SizePoint]) -> SqrtSizeModel:
     """
     if not points:
         raise ValidationError("sqrt fit needs at least 1 point")
-    numerator = sum(p.issues * math.sqrt(p.uf) for p in points)
+    numerator = math.fsum(p.issues * math.sqrt(p.uf) for p in points)
     return SqrtSizeModel(coefficient=numerator / sum(p.uf for p in points))
 
 
 def residual_sum_of_squares(
     points: Sequence[SizePoint], predict: Callable[[int], float]
 ) -> float:
-    return sum((p.issues - predict(p.uf)) ** 2 for p in points)
+    return math.fsum((p.issues - predict(p.uf)) ** 2 for p in points)
 
 
 def _scatter_row(fields: list[str]) -> SizePoint:

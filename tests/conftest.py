@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from defectlab import DefectRecord, Phase, ProductProfile, Status
+from defectlab import DefectRecord, ProductProfile
 
 EPOCH = datetime(2004, 3, 1, tzinfo=timezone.utc)
 
@@ -14,8 +14,8 @@ EPOCH = datetime(2004, 3, 1, tzinfo=timezone.utc)
 def make_record(
     rid: str = "d1",
     product_id: str = "m1",
-    phase_injected: Phase = Phase.BUILD,
-    phase_found: Phase = Phase.REVIEW,
+    phase_injected: str = "build",
+    phase_found: str = "review",
     found_offset_h: float = 0.0,
     fixed_offset_h: float | None = None,
     severity: int = 2,
@@ -31,7 +31,7 @@ def make_record(
         found_at=EPOCH + timedelta(hours=found_offset_h),
         fixed_at=fixed,
         severity=severity,
-        status=Status.FIXED if fixed is not None else Status.OPEN,
+        status="fixed" if fixed is not None else "open",
         fix_changes=fix_changes,
     )
 

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from conftest import EPOCH, make_record, with_fields
 from defectlab import (
     DefectRecord,
-    Phase,
     ProductProfile,
-    Status,
     ValidationError,
     arrival_series,
     dump_ledger,
@@ -29,7 +27,14 @@ from defectlab import (
     serialize_product_registry,
 )
 from defectlab.errors import MAX_COUNT
-from defectlab.ledger import MAX_BUCKETS, format_timestamp, parse_series, parse_timestamp
+from defectlab.ledger import (
+    MAX_BUCKETS,
+    PHASES,
+    STATUSES,
+    format_timestamp,
+    parse_series,
+    parse_timestamp,
+)
 
 HEADER = "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
 
@@ -68,8 +73,8 @@ class TestParseDefectLog:
         )
         (record,) = parse_defect_log(text)
         assert record.id == "d1"
-        assert record.status is Status.FIXED
-        assert record.phase_injected is Phase.BUILD
+        assert record.status is STATUSES["fixed"]
+        assert record.phase_injected is PHASES["build"]
         assert record.fix_changes == 3
         assert record.fixed_at - record.found_at == timedelta(hours=23)
 
@@ -169,8 +174,8 @@ _ids = st.text(alphabet=string.ascii_lowercase + string.digits + "-_", min_size=
 _stamps = st.datetimes(
     min_value=datetime(2000, 1, 1), max_value=datetime(2035, 1, 1)
 ).map(lambda d: d.replace(tzinfo=timezone.utc))
-_phases = st.sampled_from(list(Phase))
-_found_phases = st.sampled_from([p for p in Phase if p is not Phase.UNKNOWN])
+_phases = st.sampled_from(list(PHASES))
+_found_phases = st.sampled_from([p for p in PHASES if p != "unknown"])
 
 
 @st.composite
@@ -190,9 +195,9 @@ def _records(draw):
         found_at=found,
         fixed_at=fixed,
         severity=draw(st.integers(1, 4)),
-        status=Status.FIXED
+        status="fixed"
         if fixed is not None
-        else draw(st.sampled_from([Status.OPEN, Status.DEFERRED])),
+        else draw(st.sampled_from(["open", "deferred"])),
         fix_changes=draw(st.none() | st.integers(0, 10**6)),
     )
 
@@ -449,7 +454,7 @@ class TestLedgerDocument:
 class TestDefectRecordContract:
     """The frozen, slotted value contract that callers rely on."""
 
-    FIELDS = ("d1", "m1", Phase.BUILD, Phase.REVIEW, EPOCH, None, 2, Status.OPEN, 3)
+    FIELDS = ("d1", "m1", "build", "review", EPOCH, None, 2, "open", 3)
 
     def test_positional_keyword_and_default_construction_agree(self):
         names = DefectRecord.__match_args__
@@ -499,6 +504,66 @@ class TestDefectRecordContract:
         with pytest.raises(ValidationError) as caught:
             with_fields(record, **{field: stamp})
         assert str(caught.value) == f"invalid defect record 'd1'\n  {field} must be a UTC timestamp"
+
+    def test_phases_and_statuses_are_strings(self):
+        assert list(PHASES) == [
+            "requirements", "design", "build", "review", "test", "use", "unknown"
+        ]
+        assert list(STATUSES) == ["open", "fixed", "deferred"]
+        record = make_record(phase_injected="design", phase_found="test", fixed_offset_h=5)
+        assert (record.phase_injected, record.phase_found, record.status) == (
+            "design", "test", "fixed"
+        )
+        # The record holds the module's terms, whose value is the plain string.
+        assert record.phase_injected is PHASES["design"] and record.status is STATUSES["fixed"]
+        assert type(record.status.value) is str and record.status.value == "fixed"
+        assert with_fields(record, status="".join(["fix", "ed"])).status is STATUSES["fixed"]
+        profiles = [ProductProfile(product_id="m1", unique_formulas=100)]
+        (entry,) = json.loads(dump_ledger(profiles, [record]))["defects"]
+        assert (entry["phase_injected"], entry["phase_found"], entry["status"]) == (
+            "design", "test", "fixed"
+        )
+
+    @pytest.mark.parametrize(("changes", "problems"), [
+        # Built at run time, so that the checks must go by value.
+        ({"phase_found": "".join(["unk", "nown"])}, ["phase_found may not be 'unknown'"]),
+        ({"phase_injected": "bogus"}, ["unknown phase_injected 'bogus'"]),
+        ({"phase_found": "Review"}, ["unknown phase_found 'Review'"]),
+        ({"status": "lost"}, ["unknown status 'lost'"]),
+        ({"status": "".join(["op", "en"])},
+         ["status 'open' is inconsistent with fixed_at present"]),
+        ({"status": "".join(["fix", "ed"]), "fixed_at": None},
+         ["status 'fixed' is inconsistent with fixed_at absent"]),
+    ], ids=["found unknown", "injected bogus", "found Review", "status lost", "open but fixed",
+            "fixed but open"])
+    def test_vocabulary_is_checked(self, changes, problems):
+        with pytest.raises(ValidationError) as caught:
+            with_fields(make_record(fixed_offset_h=5), **changes)
+        assert caught.value.diagnostics == tuple(problems)
+
+    @pytest.mark.parametrize(("field", "value", "problem"), [
+        ("severity", True, "severity must be int, got bool"),
+        ("severity", "3", "severity must be int, got str"),
+        ("fix_changes", 1.5, "fix_changes must be int or NoneType, got float"),
+        ("id", 7, "id must be str, got int"),
+        ("phase_found", ["review"], "phase_found must be str or Term, got list"),
+        ("status", None, "status must be str or Term, got NoneType"),
+        ("found_at", "2004-03-01T10:00:00Z", "found_at must be datetime, got str"),
+        ("fixed_at", 10**5000, "fixed_at must be datetime or NoneType, got int"),
+    ], ids=["bool severity", "str severity", "float fix_changes", "int id", "list phase_found",
+            "None status", "str found_at", "over-long int fixed_at"])
+    def test_field_types_are_checked(self, field, value, problem):
+        with pytest.raises(ValidationError) as caught:
+            with_fields(make_record(fixed_offset_h=5), **{field: value})
+        assert str(caught.value) == f"invalid defect record\n  {problem}"
+
+    def test_fix_changes_is_held_to_the_count_ceiling(self):
+        assert make_record(fix_changes=MAX_COUNT).fix_changes == MAX_COUNT
+        with pytest.raises(ValidationError) as caught:
+            make_record(fix_changes=MAX_COUNT + 1)
+        assert caught.value.diagnostics == (
+            f"fix_changes must be <= {MAX_COUNT}, got {MAX_COUNT + 1}",
+        )
 
     def test_slotted_without_instance_dict(self):
         record = DefectRecord(*self.FIELDS)

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from conftest import with_fields
 from defectlab import (
     DefectRecord,
-    Phase,
     ProductProfile,
-    Status,
     ValidationError,
     dump_ledger,
     ledger,
@@ -30,7 +28,7 @@ from defectlab import (
 )
 from defectlab.cli import EXIT_OK, EXIT_VALIDATION, run
 from defectlab.errors import MAX_COUNT
-from defectlab.ledger import DEFECT_CSV_COLUMNS, format_timestamp
+from defectlab.ledger import DEFECT_CSV_COLUMNS, PHASES, STATUSES, Term, format_timestamp
 
 #: One valid fixed defect, as a ledger object.
 BASE = {
@@ -401,12 +399,12 @@ def _ledgers(draw):
         records.append(DefectRecord(
             id=f"{draw(_names)}-{index}",
             product_id=draw(st.sampled_from([p.product_id for p in profiles])),
-            phase_injected=draw(st.sampled_from(list(Phase))),
-            phase_found=draw(st.sampled_from([p for p in Phase if p is not Phase.UNKNOWN])),
+            phase_injected=draw(st.sampled_from(list(PHASES))),
+            phase_found=draw(st.sampled_from([p for p in PHASES if p != "unknown"])),
             found_at=found,
             fixed_at=fixed,
             severity=draw(st.integers(1, 4)),
-            status=Status.FIXED if fixed else draw(st.sampled_from([Status.OPEN, Status.DEFERRED])),
+            status="fixed" if fixed else draw(st.sampled_from(["open", "deferred"])),
             fix_changes=draw(st.none() | st.integers(0, MAX_COUNT)),
         ))
     return profiles, records
@@ -417,6 +415,52 @@ def test_load_inverts_dump(ledger):
     profiles, records = ledger
     assert load_ledger(dump_ledger(profiles, records)) == (profiles, records)
 
+
+
+#: Values of each type a record field holds, and of other types.
+_any_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 5), st.just(10**5000), st.floats(),
+    st.sampled_from([*PHASES, *PHASES.values(), "fixed", STATUSES["open"], "Build", ""]),
+    st.text(max_size=4),
+    st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=2))])),
+    st.dates(), st.binary(max_size=2),
+)
+#: Each field's types, in column order, spelled out rather than read from the module.
+_FIELD_TYPES = (
+    (str,), (str,), (str, Term), (str, Term), (datetime,), (datetime, type(None)), (int,),
+    (str, Term), (int, type(None)),
+)
+
+
+@st.composite
+def _mixed_record_values(draw):
+    """A valid record's nine values, with up to three of them replaced by any value."""
+    found = draw(_utc_stamps)
+    fixed = draw(st.none() | st.timedeltas(timedelta(0), timedelta(days=400)).map(
+        lambda delta: found + delta
+    ))
+    values = [
+        draw(_names), draw(_names), draw(st.sampled_from(list(PHASES))),
+        draw(st.sampled_from([p for p in PHASES if p != "unknown"])), found, fixed,
+        draw(st.integers(1, 4)), "fixed" if fixed else draw(st.sampled_from(["open", "deferred"])),
+        draw(st.none() | st.integers(0, MAX_COUNT)),
+    ]
+    for index in draw(st.sets(st.integers(0, len(values) - 1), max_size=3)):
+        values[index] = draw(_any_values)
+    return values
+
+
+@settings(max_examples=300)
+@given(_mixed_record_values())
+def test_every_record_that_constructs_round_trips(values):
+    # Any other exception than ValidationError fails the test.
+    try:
+        record = DefectRecord(*values)
+    except ValidationError:
+        return
+    assert all(type(value) in kinds for value, kinds in zip(values, _FIELD_TYPES))
+    profiles = [ProductProfile(product_id=record.product_id, unique_formulas=1)]
+    assert load_ledger(dump_ledger(profiles, [record])) == (profiles, [record])
 
 # -- Exit-code contract on generated ledger inputs ----------------------
 

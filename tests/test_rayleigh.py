@@ -44,6 +44,19 @@ class TestCdf:
         with pytest.raises(ValidationError, match="k_total"):
             rayleigh_cdf(1.0, 0.0, 4.0)
 
+    @pytest.mark.parametrize(("t", "k_total", "sigma", "message"), [
+        (1.0, 200.0, math.nan, "sigma must be positive, got nan"),
+        (1.0, 200.0, math.inf, "sigma must be positive, got inf"),
+        (1.0, math.nan, 4.0, "k_total must be positive, got nan"),
+        (1.0, math.inf, 4.0, "k_total must be positive, got inf"),
+        (math.nan, 200.0, 4.0, "t must be >= 0, got nan"),
+        (math.inf, 200.0, 4.0, "t must be >= 0, got inf"),
+    ])
+    def test_non_finite_arguments_rejected(self, t, k_total, sigma, message):
+        with pytest.raises(ValidationError) as caught:
+            rayleigh_cdf(t, k_total, sigma)
+        assert str(caught.value) == message
+
     @given(
         st.floats(0.0, 100.0),
         st.floats(0.0, 100.0),
@@ -72,6 +85,16 @@ class TestExpectedBucketCounts:
     def test_zero_buckets_rejected(self):
         with pytest.raises(ValidationError, match="buckets"):
             expected_bucket_counts(50.0, 2.0, 0)
+
+    @pytest.mark.parametrize(("k_total", "sigma", "message"), [
+        (math.inf, 4.0, "k_total must be positive, got inf"),
+        (50.0, math.nan, "sigma must be positive, got nan"),
+        (50.0, math.inf, "sigma must be positive, got inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, k_total, sigma, message):
+        with pytest.raises(ValidationError) as caught:
+            expected_bucket_counts(k_total, sigma, 3)
+        assert str(caught.value) == message
 
 
 class TestFitArrival:

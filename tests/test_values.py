@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from defectlab.errors import ValidationError
-from defectlab.ledger import DefectRecord, Phase, ProductProfile, Status
+from defectlab.ledger import DefectRecord, ProductProfile
 from defectlab.metrics import MetricsSummary
 from defectlab.rayleigh import RayleighFit
 from defectlab.revisions import (
@@ -40,9 +40,9 @@ CELLS = tuple(tuple(range(1, 9)) for _ in DEFAULT_REMOVAL_EFFICIENCIES)
 CASES = [
     (
         DefectRecord,
-        [("id", "d1"), ("product_id", "m1"), ("phase_injected", Phase.BUILD),
-         ("phase_found", Phase.REVIEW), ("found_at", FOUND),
-         ("fixed_at", FOUND + timedelta(hours=5)), ("severity", 2), ("status", Status.FIXED),
+        [("id", "d1"), ("product_id", "m1"), ("phase_injected", "build"),
+         ("phase_found", "review"), ("found_at", FOUND),
+         ("fixed_at", FOUND + timedelta(hours=5)), ("severity", 2), ("status", "fixed"),
          ("fix_changes", None)],
         {"fix_changes": None},
         ("severity", 9),
