@@ -32,13 +32,9 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-class _CliError(Exception):
-    """Argument-grammar violation; maps to the validation exit code."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: ANN201 - argparse signature
-        raise _CliError(message)
+        raise ValidationError(message)
 
 
 def _read_text(path: str) -> str:
@@ -318,16 +314,11 @@ _HANDLERS = {
 
 
 def _dispatch(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
-    try:
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

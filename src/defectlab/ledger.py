@@ -38,17 +38,7 @@ DEFECT_CSV_COLUMNS = (
     "fix_changes",
 )
 
-#: Key order for product registry JSON entries.
-PRODUCT_JSON_KEYS = (
-    "product_id",
-    "unique_formulas",
-    "kloc",
-    "function_points",
-    "description",
-)
-
 _DEFECT_KEYS = frozenset(DEFECT_CSV_COLUMNS)
-_PRODUCT_KEYS = frozenset(PRODUCT_JSON_KEYS)
 
 SEVERITY_RANGE = (1, 4)
 
@@ -180,13 +170,9 @@ class DefectRecord(Value):
         ):
             values = (id, product_id, phase_injected, phase_found, found_at, fixed_at, severity,
                       status, fix_changes)
-            # Each problem names the value's type: the repr of an over-long integer raises.
-            raise ValidationError("invalid defect record", [
-                f"{name} must be {' or '.join(kind.__name__ for kind in kinds)}, "
-                f"got {type(value).__name__}"
-                for name, value, kinds in zip(DEFECT_CSV_COLUMNS, values, _FIELD_TYPES)
-                if type(value) not in kinds
-            ])
+            raise ValidationError(
+                "invalid defect record", _type_problems(DEFECT_CSV_COLUMNS, values, _FIELD_TYPES)
+            )
         # A record holds the module's copy of each phase and status.
         injected, found = PHASES.get(phase_injected), PHASES.get(phase_found)
         state = STATUSES.get(status)
@@ -237,6 +223,18 @@ class DefectRecord(Value):
         return type(self), self._values()
 
 
+def _type_problems(
+    names: Sequence[str], values: Sequence, kinds: Sequence[tuple[type, ...]]
+) -> list[str]:
+    """A problem for each value whose type is not exactly one of its ``kinds``.
+    Each names the value's type, never its repr: the repr of an over-long integer raises."""
+    return [
+        f"{name} must be {' or '.join(kind.__name__ for kind in types)}, got {type(value).__name__}"
+        for name, value, types in zip(names, values, kinds)
+        if type(value) not in types
+    ]
+
+
 #: Each slot's setter, in field order, for DefectRecord.__init__.
 _SLOT_SETTERS = tuple(getattr(DefectRecord, name).__set__ for name in DefectRecord.__slots__)
 
@@ -250,9 +248,10 @@ _FIELD_TYPES = (
 class ProductProfile(Value):
     """Size and identity of one audited product.
 
-    At least one size measure must be present.  Spreadsheet-style
-    products are usually sized in unique formulas; conventional code
-    in KLOC or function points.
+    Each field has exactly the type its annotation names, so ``bool`` is
+    refused, and an integer ``kloc`` is held as a float.  At least one
+    size measure must be present.  Spreadsheet-style products are usually
+    sized in unique formulas; conventional code in KLOC or function points.
     """
 
     product_id: str
@@ -262,25 +261,33 @@ class ProductProfile(Value):
     description: str = ""
 
     def __post_init__(self) -> None:
-        problems = []
-        if not self.product_id:
+        names, values = self.__match_args__, self._values()
+        if problems := _type_problems(names, values, _PROFILE_TYPES):
+            raise ValidationError("invalid product profile", problems)
+        product_id, *sizes, _ = values
+        if not product_id:
             problems.append("product_id must be non-empty")
-        sizes = (self.unique_formulas, self.kloc, self.function_points)
         if all(s is None for s in sizes):
             problems.append("at least one size measure is required")
-        for name, value in (
-            ("unique_formulas", self.unique_formulas),
-            ("kloc", self.kloc),
-            ("function_points", self.function_points),
-        ):
+        for name, value in zip(names[1:], sizes):
             if value is None:
                 continue
-            if isinstance(value, int) and (problem := above_max_count(name, value)):
+            if type(value) is int and (problem := above_max_count(name, value)):
                 problems.append(problem)
             elif value <= 0 or not math.isfinite(value):
                 problems.append(f"{name}: size must be positive, got {show_int(value)}")
         if problems:
-            raise ValidationError(f"invalid product profile {self.product_id!r}", problems)
+            raise ValidationError(f"invalid product profile {product_id!r}", problems)
+        if type(self.kloc) is int:  # held to MAX_COUNT above, so exact as a float
+            self.__dict__["kloc"] = float(self.kloc)
+
+
+#: Each profile field's types, in field order.
+_PROFILE_TYPES = ((str,), (int, _NONE), (float, int, _NONE), (int, _NONE), (str,))
+
+#: Key order for product registry JSON entries.
+PRODUCT_JSON_KEYS = ProductProfile.__match_args__
+_PRODUCT_KEYS = frozenset(PRODUCT_JSON_KEYS)
 
 
 def read_csv_table(
@@ -356,13 +363,6 @@ def _check_keys(entry: object, keys: frozenset[str]) -> None:
         # that it cannot start a line of its own in the message.
         unknown = (k if k.isprintable() else repr(k) for k in sorted(entry.keys() - keys))
         raise ValidationError(f"unknown keys {', '.join(unknown)}")
-
-
-def _require(entry: dict, key: str, kinds: tuple[type, ...], label: str) -> object:
-    value = entry.get(key)
-    if type(value) in kinds or value is None:
-        return value
-    raise ValidationError(f"{key} must be {label}, got {value!r}")
 
 
 #: The string-typed fields, in the order the decoder checks them.
@@ -555,22 +555,14 @@ def parse_series(text: str) -> tuple[list[int], float | None]:
 
 
 def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
-    """Decode one product entry; ``seen`` holds the ids decoded so far."""
+    """Decode one product entry; ``seen`` holds the ids decoded so far.
+    The profile checks its own fields; a null ``description`` reads as empty."""
     _check_keys(entry, _PRODUCT_KEYS)
-    product_id = _require(entry, "product_id", (str,), "a string")
-    if product_id is None:
+    if entry.get("product_id") is None:
         raise ValidationError("product_id is required")
-    kloc = _require(entry, "kloc", (int, float), "a number")
-    fields = dict(
-        product_id=product_id,
-        unique_formulas=_require(entry, "unique_formulas", (int,), "an integer"),
-        kloc=kloc,
-        function_points=_require(entry, "function_points", (int,), "an integer"),
-        description=_require(entry, "description", (str,), "a string") or "",
-    )
-    profile = ProductProfile(**fields)
-    if isinstance(kloc, int):  # held to the count ceiling, so exact as a float
-        profile = ProductProfile(**{**fields, "kloc": float(kloc)})
+    if entry.get("description", "") is None:
+        entry = {**entry, "description": ""}
+    profile = ProductProfile(**entry)
     if profile.product_id in seen:
         raise ValidationError(f"duplicate product_id {profile.product_id!r}")
     seen.add(profile.product_id)
@@ -578,7 +570,7 @@ def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
 
 
 def _profile_to_dict(profile: ProductProfile) -> dict:
-    return {key: getattr(profile, key) for key in PRODUCT_JSON_KEYS}
+    return dict(zip(PRODUCT_JSON_KEYS, profile._values()))
 
 
 def parse_product_registry(text: str) -> list[ProductProfile]:

@@ -18,17 +18,6 @@ from datetime import timedelta
 from .errors import ValidationError, Value, above_max_count, show_int
 from .ledger import DefectRecord, ProductProfile
 
-#: Field order for MetricsSummary serialization (JSON and CSV).
-SUMMARY_FIELDS = (
-    "product_id",
-    "defect_count",
-    "density_per_uf",
-    "density_per_kloc",
-    "injection_rate",
-    "removal_efficiency",
-    "removal_rate",
-)
-
 #: How the injection rate is estimated when true injected counts are
 #: unknown (they almost always are; you can only estimate them).
 #: Recorded in JSON output so consumers know what the number means.
@@ -69,6 +58,10 @@ class MetricsSummary(Value):
                 problems.append(f"{name} must be >= 0, got {value}")
         if problems:
             raise ValidationError(f"invalid metrics summary for {self.product_id!r}", problems)
+
+
+#: Field order for MetricsSummary serialization (JSON and CSV).
+SUMMARY_FIELDS = MetricsSummary.__match_args__
 
 
 def defect_density(defects: int, size: float) -> float:
@@ -167,7 +160,7 @@ def summarize(records: Sequence[DefectRecord], profile: ProductProfile) -> Metri
 
 def summary_to_dict(summary: MetricsSummary) -> dict:
     """Summary as a dict in fixed field order, plus estimator metadata."""
-    out = {name: getattr(summary, name) for name in SUMMARY_FIELDS}
+    out = dict(zip(SUMMARY_FIELDS, summary._values()))
     if summary.injection_rate is not None:
         out["injection_rate_basis"] = INJECTION_RATE_BASIS
     return out
@@ -183,7 +176,5 @@ def summaries_to_csv(summaries: Iterable[MetricsSummary]) -> str:
     writer = csv.writer(out)
     writer.writerow(SUMMARY_FIELDS)
     for s in summaries:
-        writer.writerow([
-            "" if (v := getattr(s, name)) is None else v for name in SUMMARY_FIELDS
-        ])
+        writer.writerow(["" if v is None else v for v in s._values()])
     return out.getvalue()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import EPOCH, make_record
+import defectlab
 from defectlab import (
     ProcessParams,
     arrival_series,
@@ -56,9 +58,14 @@ def _criterion(label: str):
     print(f"PASS {label}")
 
 
+#: The directory the package under test was imported from, for the CLI's child processes.
+SRC = os.path.dirname(os.path.dirname(defectlab.__file__))
+
+
 def _cli(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "defectlab", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=120,

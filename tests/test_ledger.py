@@ -251,8 +251,9 @@ class TestProductRegistry:
 
     @pytest.mark.parametrize(("text", "diagnostic"), [
         ('[{"product_id":"","unique_formulas":1}]', "entry 0: product_id must be non-empty"),
+        ('[{"product_id":null,"unique_formulas":1}]', "entry 0: product_id is required"),
         ("[1]", "entry 0: expected an object"),
-    ], ids=["empty product_id", "entry not an object"])
+    ], ids=["empty product_id", "null product_id", "entry not an object"])
     def test_entry_problem_named(self, text, diagnostic):
         with pytest.raises(ValidationError) as err:
             parse_product_registry(text)
@@ -283,6 +284,43 @@ class TestProductRegistry:
     def test_integer_kloc_loads_as_a_float(self):
         (profile,) = parse_product_registry('[{"product_id":"m1","kloc":3}]')
         assert type(profile.kloc) is float
+        built = ProductProfile(product_id="m1", kloc=3)
+        assert type(built.kloc) is float
+        assert built == profile == ProductProfile(product_id="m1", kloc=3.0)
+
+    def test_null_description_loads_as_empty(self):
+        (profile,) = parse_product_registry(
+            '[{"product_id":"m1","kloc":1.5,"description":null}]'
+        )
+        assert profile == ProductProfile(product_id="m1", kloc=1.5)
+
+    @pytest.mark.parametrize(("fields", "problems"), [
+        ({"product_id": 5}, ("product_id must be str, got int",)),
+        ({"product_id": 10**5000}, ("product_id must be str, got int",)),
+        ({"unique_formulas": True}, ("unique_formulas must be int or NoneType, got bool",)),
+        ({"unique_formulas": 2.5}, ("unique_formulas must be int or NoneType, got float",)),
+        ({"unique_formulas": "3"}, ("unique_formulas must be int or NoneType, got str",)),
+        ({"kloc": True}, ("kloc must be float or int or NoneType, got bool",)),
+        ({"description": None}, ("description must be str, got NoneType",)),
+        ({"kloc": "1", "function_points": 1.0}, (
+            "kloc must be float or int or NoneType, got str",
+            "function_points must be int or NoneType, got float",
+        )),
+    ], ids=["int id", "long int id", "bool formulas", "float formulas", "str formulas",
+            "bool kloc", "null description", "two problems"])
+    def test_field_types_are_exact(self, fields, problems):
+        with pytest.raises(ValidationError) as err:
+            ProductProfile(**{"product_id": "m1", "unique_formulas": 1, **fields})
+        assert str(err.value).splitlines()[0] == "invalid product profile"
+        assert err.value.diagnostics == problems
+
+    def test_type_problems_keep_their_entry_prefix(self):
+        ledger = json.dumps({"products": [{"product_id": "m1", "kloc": True}], "defects": []})
+        with pytest.raises(ValidationError) as err:
+            load_ledger(ledger)
+        assert err.value.diagnostics == (
+            "products[0]: kloc must be float or int or NoneType, got bool",
+        )
 
 
 class TestArrivalSeries:

@@ -25,6 +25,8 @@ from defectlab import (
     ledger,
     load_ledger,
     parse_defect_log,
+    parse_product_registry,
+    serialize_product_registry,
 )
 from defectlab.cli import EXIT_OK, EXIT_VALIDATION, run
 from defectlab.errors import MAX_COUNT
@@ -461,6 +463,42 @@ def test_every_record_that_constructs_round_trips(values):
     assert all(type(value) in kinds for value, kinds in zip(values, _FIELD_TYPES))
     profiles = [ProductProfile(product_id=record.product_id, unique_formulas=1)]
     assert load_ledger(dump_ledger(profiles, [record])) == (profiles, [record])
+
+
+#: Values of each type a profile field holds, and of other types.
+_any_profile_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 5),
+    st.sampled_from([0, -1, MAX_COUNT, MAX_COUNT + 1, 10**5000]),
+    st.sampled_from([float("nan"), float("inf"), 2.5]), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(0, 2), max_size=2),
+)
+#: Each profile field's types, spelled out rather than read from the module.
+_PROFILE_TYPES = ((str,), (int, type(None)), (float, int, type(None)), (int, type(None)), (str,))
+
+
+@st.composite
+def _mixed_profile_values(draw):
+    """A valid profile's five values, with up to three of them replaced by any value."""
+    values = [
+        draw(_names), draw(st.none() | _counts), draw(st.none() | st.floats(1e-6, 1e12)),
+        draw(_counts), draw(st.text(max_size=8)),
+    ]
+    for index in draw(st.sets(st.integers(0, len(values) - 1), max_size=3)):
+        values[index] = draw(_any_profile_values)
+    return values
+
+
+@settings(max_examples=300)
+@given(_mixed_profile_values())
+def test_every_profile_that_constructs_round_trips(values):
+    # Any other exception than ValidationError fails the test.
+    try:
+        profile = ProductProfile(*values)
+    except ValidationError:
+        return
+    assert all(type(value) in kinds for value, kinds in zip(values, _PROFILE_TYPES))
+    assert load_ledger(dump_ledger([profile], [])) == ([profile], [])
+    assert parse_product_registry(serialize_product_registry([profile])) == [profile]
 
 # -- Exit-code contract on generated ledger inputs ----------------------
 
