@@ -8,6 +8,7 @@ document goes through :func:`read_csv_table`, every defect through
 ``_record_from_values`` and every product through ``_profile_from_dict``.
 A defect reaches its decoder as its nine values in column order: a CSV
 row through ``_csv_values`` and a ledger object through ``_entry_values``.
+The records decoded from one document share one copy of each product id.
 """
 
 from __future__ import annotations
@@ -369,9 +370,11 @@ def _check_keys(entry: object, keys: frozenset[str]) -> None:
 _STRING_KEYS = ("id", "product_id", "phase_injected", "phase_found", "found_at", "status")
 
 
-def _record_from_values(values: Sequence) -> DefectRecord:
+def _record_from_values(values: Sequence, names: dict[str, str]) -> DefectRecord:
     """Decode one defect from its nine values in column order, as a ledger
-    object or a CSV row gives them.
+    object or a CSV row gives them.  ``names`` maps each product id decoded
+    so far from the same document to the copy its records hold, so that
+    the document's records share one string per product.
 
     The checks run in one fixed order, so an entry with several problems
     reports the same first one in either form: the string fields' types,
@@ -402,7 +405,8 @@ def _record_from_values(values: Sequence) -> DefectRecord:
     if changes is not None and type(changes) is not int:
         raise ValidationError(f"fix_changes must be an integer or null, got {changes!r}")
     return DefectRecord(
-        ident, product, injected, found, found_stamp, fixed_stamp, severity, status, changes
+        ident, names.setdefault(product, product), injected, found, found_stamp, fixed_stamp,
+        severity, status, changes
     )
 
 
@@ -478,11 +482,12 @@ def parse_defect_log(text: str) -> list[DefectRecord]:
     prefixed with the 1-based data row it came from.
     """
     seen_ids: set[str] = set()
+    names = {}
     return read_csv_table(
         text,
         DEFECT_CSV_COLUMNS,
         "defect log",
-        lambda fields: _admit(_record_from_values(_csv_values(fields)), seen_ids),
+        lambda fields: _admit(_record_from_values(_csv_values(fields), names), seen_ids),
     )
 
 
@@ -634,10 +639,11 @@ def load_ledger(text: str) -> tuple[list[ProductProfile], list[DefectRecord]]:
         data["products"], "products[{}]", lambda e: _profile_from_dict(e, known), diagnostics
     )
     seen_ids: set[str] = set()
+    names = {}
     records = _decode_each(
         data["defects"],
         "defects[{}]",
-        lambda e: _admit(_record_from_values(_entry_values(e)), seen_ids, known),
+        lambda e: _admit(_record_from_values(_entry_values(e), names), seen_ids, known),
         diagnostics,
     )
     if diagnostics:

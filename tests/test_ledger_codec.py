@@ -9,6 +9,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -188,6 +189,47 @@ def test_decoder_diagnostics_match_the_record(form, case):
     with pytest.raises(ValidationError) as err:
         decode(encode(entry))
     assert err.value.diagnostics == expected
+
+
+# -- Product ids --------------------------------------------------------
+
+
+def _document(form: str, product_ids: list[str]) -> str:
+    """A valid document in either form, with one defect per listed product id."""
+    entries = [dict(BASE, id=f"d{i}", product_id=product) for i, product in enumerate(product_ids)]
+    if form == "CSV row":
+        return _csv_document([DEFECT_CSV_COLUMNS, *(entry.values() for entry in entries)])
+    products = [{"product_id": p, "unique_formulas": 1} for p in dict.fromkeys(product_ids)]
+    return json.dumps({"products": products, "defects": entries})
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_records_from_one_document_share_each_product_id(form):
+    # Ids of two or more characters: CPython shares one-character strings anyway.
+    records = FORMS[form][1](_document(form, ["m1", "m22", "product-3"] * 4))
+    assert len(records) == 12
+    assert len({id(r.product_id) for r in records}) == len({r.product_id for r in records}) == 3
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_decoding_keeps_no_product_id_after_its_records(form):
+    # Ids kept in a table beyond the call would outlive their records, 2 MB
+    # here; so would interned ids on Python 3.12, where interned strings
+    # are immortal.  The warm-up, with other ids, fills the interpreter's
+    # free lists before tracing starts.
+    decode = FORMS[form][1]
+    warm_up, text = (
+        _document(form, [f"{form} {tag}{i:04d}".ljust(1024, "p") for i in range(2000)])
+        for tag in "wt"
+    )
+    decode(warm_up)
+    tracemalloc.start()
+    try:
+        decode(text)  # and drop the records at once
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 * 1024
 
 
 # -- Timestamps ---------------------------------------------------------
