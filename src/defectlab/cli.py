@@ -10,31 +10,29 @@ print both forms.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import warnings
 from collections.abc import Sequence
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DivergenceError, NonConvergenceError, ValidationError
 
 # Each handler imports the modules it uses, so a command loads only
-# its own; this import is for type checkers alone.
+# its own, and argparse loads only for a command line ``_read_exact``
+# leaves to it; these imports are for type checkers alone.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from . import rayleigh, revisions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: ANN201 - argparse signature
-        raise ValidationError(message)
 
 
 def _read_text(path: str) -> str:
@@ -50,50 +48,109 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _build_parser() -> _Parser:
+#: Each subcommand's help line and its flags, in ``--help`` order.  A
+#: flag maps to its ``add_argument`` keywords; ``_build_parser`` passes
+#: them on as they are, and ``_read_exact`` reads ``action``, ``type``,
+#: ``choices``, ``required`` and ``default`` from the same dicts.
+_COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+    "ingest": ("validate a defect CSV and product JSON into a ledger", {
+        "--defects": {"required": True, "help": "defect log CSV path"},
+        "--products": {"required": True, "help": "product registry JSON path"},
+        "--out": {"required": True, "help": "ledger JSON output path"},
+    }),
+    "metrics": ("quality metrics per product from a ledger", {
+        "--ledger": {"required": True, "help": "ledger JSON path"},
+        "--product": {"help": "restrict to one product id"},
+        "--format": {"choices": ("json", "csv"), "default": "json"},
+    }),
+    "forecast": ("revisions to sign-off from injection/removal rates", {
+        "--units": {"required": True, "type": int, "help": "units of work in the build"},
+        "--dir": {"type": float, "help": "defect injection rate, as a fraction"},
+        "--dre": {"type": float, "help": "defect removal efficiency, as a fraction"},
+        "--threshold": {"type": float,
+                        "help": "sign-off threshold on expected residual defects"},
+        "--monte-carlo": {"action": "store_true", "help": "simulate instead of recurring"},
+        "--trials": {"type": int, "help": "Monte Carlo trial count"},
+        "--seed": {"type": int, "help": "Monte Carlo seed (required with --monte-carlo)"},
+        "--table": {"action": "store_true",
+                    "help": "emit the full rate grid instead of a single forecast"},
+        "--format": {"choices": ("json", "csv"), "default": "json",
+                     "help": "output form for --table"},
+    }),
+    "estimate": ("expected issues from model size", {
+        "--uf": {"type": int, "help": "unique formula count to estimate for"},
+        "--model": {"choices": ("linear", "sqrt", "both"), "default": "both"},
+        "--fit": {"help": "scatter CSV (uf,issues) to fit models to"},
+    }),
+    "fit-arrival": ("fit the arrival model to a bucketed series", {
+        "--series": {"required": True, "help": "CSV with columns bucket_start,count"},
+        "--out": {"help": "write fit JSON here instead of stdout"},
+    }),
+    "report": ("arrival chart (SVG) with fitted overlay from a ledger", {
+        "--ledger": {"required": True, "help": "ledger JSON path"},
+        "--svg": {"required": True, "help": "SVG output path"},
+        "--product": {"help": "restrict to one product id"},
+        "--bucket-days": {"type": float, "default": 7.0, "help": "arrival bucket width in days"},
+    }),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for ``_COMMANDS``: the reference reader, and
+    the only one that prints help or usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # noqa: ANN201 - argparse signature
+            raise ValidationError(message)
+
     parser = _Parser(prog="defectlab", description="Defect analytics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("ingest", help="validate a defect CSV and product JSON into a ledger")
-    p.add_argument("--defects", required=True, help="defect log CSV path")
-    p.add_argument("--products", required=True, help="product registry JSON path")
-    p.add_argument("--out", required=True, help="ledger JSON output path")
-
-    p = sub.add_parser("metrics", help="quality metrics per product from a ledger")
-    p.add_argument("--ledger", required=True, help="ledger JSON path")
-    p.add_argument("--product", help="restrict to one product id")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("forecast", help="revisions to sign-off from injection/removal rates")
-    p.add_argument("--units", required=True, type=int, help="units of work in the build")
-    p.add_argument("--dir", type=float, help="defect injection rate, as a fraction")
-    p.add_argument("--dre", type=float, help="defect removal efficiency, as a fraction")
-    p.add_argument("--threshold", type=float,
-                   help="sign-off threshold on expected residual defects")
-    p.add_argument("--monte-carlo", action="store_true", help="simulate instead of recurring")
-    p.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed (required with --monte-carlo)")
-    p.add_argument("--table", action="store_true",
-                   help="emit the full rate grid instead of a single forecast")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output form for --table")
-
-    p = sub.add_parser("estimate", help="expected issues from model size")
-    p.add_argument("--uf", type=int, help="unique formula count to estimate for")
-    p.add_argument("--model", choices=("linear", "sqrt", "both"), default="both")
-    p.add_argument("--fit", help="scatter CSV (uf,issues) to fit models to")
-
-    p = sub.add_parser("fit-arrival", help="fit the arrival model to a bucketed series")
-    p.add_argument("--series", required=True, help="CSV with columns bucket_start,count")
-    p.add_argument("--out", help="write fit JSON here instead of stdout")
-
-    p = sub.add_parser("report", help="arrival chart (SVG) with fitted overlay from a ledger")
-    p.add_argument("--ledger", required=True, help="ledger JSON path")
-    p.add_argument("--svg", required=True, help="SVG output path")
-    p.add_argument("--product", help="restrict to one product id")
-    p.add_argument("--bucket-days", type=float, default=7.0, help="arrival bucket width in days")
-
+    for command, (help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _read_exact(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, or None.
+
+    Reads only a subcommand followed by its exact long flags, each
+    ``store_true`` flag alone and each other flag with a value that does
+    not start with ``-``; the last of a repeated flag wins.  Every value
+    must convert and be one of the flag's choices, and every required
+    flag must be present.  Anything else (help, ``--flag=value``, an
+    abbreviation, ``--``, any error) is None, for argparse to read.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    seen: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = flags.get(token)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            seen[token] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            seen[token] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and seen[token] not in keywords["choices"]:
+            return None
+    values: dict[str, object] = {"command": argv[0]}
+    for flag, keywords in flags.items():
+        if flag not in seen and keywords.get("required"):
+            return None
+        unset = False if keywords.get("action") == "store_true" else keywords.get("default")
+        values[flag[2:].replace("-", "_")] = seen.get(flag, unset)
+    return SimpleNamespace(**values)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -315,7 +372,9 @@ _HANDLERS = {
 
 def _dispatch(argv: Sequence[str] | None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_exact(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
@@ -333,13 +392,18 @@ def _dispatch(argv: Sequence[str] | None) -> int:
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and map errors to exit codes.
 
+    A command line of exact long flags with valid values is read from
+    ``_COMMANDS`` without building a parser; argparse reads the rest, so
+    help, usage errors and other spellings behave as argparse makes them.
+
     The cyclic garbage collector is paused while the command runs and
     left as the caller had it.  A command allocates tens of thousands of
     CSV rows, JSON dicts and records, none of which can form a cycle, so
-    each collection walks them all and frees nothing.  The few hundred
-    argparse objects that do form cycles are the same for any input, and
-    are left for the collector's next run.  The caller owns the
-    collector; ``main`` is the caller that leaves it off.
+    each collection walks them all and frees nothing.  The few objects
+    that do form cycles (a few hundred when argparse builds its parser)
+    are the same for any input, and are left for the collector's next
+    run.  The caller owns the collector; ``main`` is the caller that
+    leaves it off.
     """
     was_enabled = gc.isenabled()
     gc.disable()

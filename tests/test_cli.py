@@ -431,6 +431,80 @@ class TestGrammar:
         assert run(["forecast", "--units", "10", "--sideways"]) == EXIT_VALIDATION
 
 
+#: Values that argparse reads in ways easy to get wrong: a negative
+#: number, an empty string, a float spelling, an underscore, a non-ASCII
+#: digit, choices and non-choices, and tokens argparse treats as flags.
+_ODD_VALUES = [
+    "-1", "", "nan", "1_000", "٣", "json", "xml", "csv", "sqrt", "2182", "0.07", "é",
+    "ledger.json", "--", "-h",
+]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A subcommand (or ``-h``) and tokens made of its flags: pairs with
+    odd values, repeats, ``--flag=value``, abbreviations, ``--`` and help."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "-h"]))
+    # "-h" is no subcommand; it takes forecast's flags.
+    table = cli._COMMANDS.get(command, cli._COMMANDS["forecast"])[1]
+    flag = st.sampled_from(sorted(table))
+    value = st.one_of(
+        st.sampled_from(_ODD_VALUES), st.integers(0, 10**4).map(str), st.text(max_size=3)
+    )
+    token = st.one_of(
+        flag,
+        value,
+        st.tuples(flag, value).map("=".join),
+        flag.map(lambda name: name[:-1]),
+        st.sampled_from(["--", "-h", "--help"]),
+    )
+    pair = st.tuples(flag, value)
+    pieces = draw(st.lists(st.one_of(pair, pair, pair, st.tuples(token)), max_size=8))
+    # Required flags first, so that more lines are complete.
+    required = [(name, draw(value)) for name, keywords in table.items()
+                if keywords.get("required")]
+    return [command, *(part for piece in [*required, *pieces] for part in piece)]
+
+
+def _attributes(args) -> str:
+    # repr tells 1 from 1.0 and True, and makes nan equal to itself.
+    return repr(sorted(vars(args).items()))
+
+
+class TestExactReader:
+    """``cli._read_exact`` either leaves a command line to argparse or
+    reads it exactly as argparse does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    def test_reads_as_argparse_does_or_declines(self, argv):
+        read = cli._read_exact(argv)
+        if read is not None:
+            assert _attributes(read) == _attributes(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["forecast", "--units", "1_000", "--dir", "nan", "--dre", "0.75", "--units", "٣"],
+        ["forecast", "--units", "2000", "--table", "--table", "--format", "csv"],
+        ["metrics", "--ledger", "", "--product", "é", "--format", "json"],
+        ["estimate", "--uf", "7", "--model", "sqrt"],
+        ["report", "--ledger", "ledger.json", "--svg", "r.svg", "--bucket-days", "1e-3"],
+    ])
+    def test_reads_well_formed_lines(self, argv):
+        read = cli._read_exact(argv)
+        assert read is not None
+        assert _attributes(read) == _attributes(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["forecast", "-h"], ["forecast", "--units=10"], ["forecast", "--uni", "10"],
+        ["forecast", "--units", "10", "--"], ["forecast", "--units", "-1"],
+        ["forecast", "--units"], ["forecast", "--units", "x"], ["metrics", "--ledger"],
+        ["metrics", "--ledger", "l.json", "--format", "xml"], ["forecast", "--dir", "0.07"],
+        ["forecast", "--units", "10", "extra"], ["forecast", "--units", "10", "--sideways"],
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_exact(argv) is None
+
+
 #: One argv for each way out of ``run``, with the exit code it gives.
 EXIT_PATHS = {
     "success": (["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75"], EXIT_OK),

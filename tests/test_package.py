@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import re
 from pathlib import Path
 
@@ -37,15 +36,8 @@ def _readme_sections() -> dict[str, str]:
 
 
 def _parser_flags() -> dict[str, set[str]]:
-    """The long flags ``cli._build_parser()`` defines, by subcommand."""
-    (subparsers,) = [a for a in cli._build_parser()._actions
-                     if isinstance(a, argparse._SubParsersAction)]
-    return {
-        command: {option for action in parser._actions
-                  if not isinstance(action, argparse._HelpAction)
-                  for option in action.option_strings if option.startswith("--")}
-        for command, parser in subparsers.choices.items()
-    }
+    """The long flags of each subcommand, from the table the CLI reads them with."""
+    return {command: set(flags) for command, (_help, flags) in cli._COMMANDS.items()}
 
 
 def test_every_cli_flag_is_documented_in_its_readme_section():

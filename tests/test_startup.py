@@ -1,5 +1,6 @@
-"""Startup cost: only the Monte Carlo loads numpy, and each command
-loads only the modules it uses.
+"""Startup cost: only the Monte Carlo loads numpy, each command loads
+only the modules it uses, and only help, usage errors and other
+spellings of a command line load argparse.
 
 Each check runs in a fresh interpreter, because this test process may
 already hold numpy and every submodule.  The commands run in-process
@@ -14,6 +15,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import defectlab
 
@@ -80,6 +83,18 @@ print(json.dumps({m: getattr(defectlab, m) is sys.modules["defectlab." + m] for 
 #: command needs them.
 NEVER_LOADED = {"xml.sax", "http.client", "email"}
 
+#: argparse and what its messages load; only a command line that
+#: ``cli._read_exact`` leaves to argparse needs them.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+#: Command lines that argparse reads, with the exit code each gives.
+ARGPARSE_READS = {
+    "--help": (["--help"], 0),
+    "forecast --help": (["forecast", "--help"], 0),
+    "unknown flag": (["forecast", "--units", "10", "--sideways"], 1),
+    "--units=2182": (["forecast", "--units=2182", "--dir", "0.07", "--dre", "0.75"], 0),
+}
+
 
 def _fresh_run(tmp_path, commands: list, child: str = CHILD, path: str = SRC):
     for source in INPUTS.iterdir():
@@ -117,13 +132,22 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         loaded[name] = set(result["loaded"])
     assert [name for name, modules in loaded.items() if "defectlab.charts" in modules] == ["report"]
     for name, modules in loaded.items():
-        assert not NEVER_LOADED & modules, name
+        assert not (NEVER_LOADED | ARGPARSE) & modules, name
     for name in ("forecast", "forecast --table", "estimate --uf"):
         assert not {"defectlab.ledger", "csv", "datetime"} & loaded[name], name
     # No value type needs dataclasses, and only numpy loads inspect.
     for name in NUMPY_FREE:
         assert not {"dataclasses", "inspect"} & loaded[name], name
     assert "dataclasses" not in loaded["forecast --monte-carlo"]
+
+
+@pytest.mark.parametrize("name", sorted(ARGPARSE_READS))
+def test_help_usage_errors_and_other_spellings_go_to_argparse(tmp_path, name):
+    # tests/test_usage.py pins what these print.
+    argv, code = ARGPARSE_READS[name]
+    result = _fresh_run(tmp_path, argv, MODULES_CHILD)
+    assert result["exit"] == code
+    assert ARGPARSE <= set(result["loaded"])
 
 
 def test_lazy_package_resolves_every_module_the_launcher_wraps(tmp_path):
