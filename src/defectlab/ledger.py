@@ -8,7 +8,8 @@ document goes through :func:`read_csv_table`, every defect through
 ``_record_from_values`` and every product through ``_profile_from_dict``.
 A defect reaches its decoder as its nine values in column order: a CSV
 row through ``_csv_values`` and a ledger object through ``_entry_values``.
-The records decoded from one document share one copy of each product id.
+The decoder parses the timestamps and :class:`DefectRecord` checks the
+rest.  The records decoded from one document share one copy of each product id.
 """
 
 from __future__ import annotations
@@ -228,9 +229,11 @@ def _type_problems(
     names: Sequence[str], values: Sequence, kinds: Sequence[tuple[type, ...]]
 ) -> list[str]:
     """A problem for each value whose type is not exactly one of its ``kinds``.
-    Each names the value's type, never its repr: the repr of an over-long integer raises."""
+    Each names the value's type, never its repr: the repr of an over-long integer raises.
+    A kind whose base is also listed, as :class:`Term`'s ``str`` is, goes unnamed."""
     return [
-        f"{name} must be {' or '.join(kind.__name__ for kind in types)}, got {type(value).__name__}"
+        f"{name} must be {' or '.join(k.__name__ for k in types if k.__base__ not in types)}, "
+        f"got {type(value).__name__}"
         for name, value, types in zip(names, values, kinds)
         if type(value) not in types
     ]
@@ -366,47 +369,27 @@ def _check_keys(entry: object, keys: frozenset[str]) -> None:
         raise ValidationError(f"unknown keys {', '.join(unknown)}")
 
 
-#: The string-typed fields, in the order the decoder checks them.
-_STRING_KEYS = ("id", "product_id", "phase_injected", "phase_found", "found_at", "status")
-
-
 def _record_from_values(values: Sequence, names: dict[str, str]) -> DefectRecord:
     """Decode one defect from its nine values in column order, as a ledger
     object or a CSV row gives them.  ``names`` maps each product id decoded
     so far from the same document to the copy its records hold, so that
     the document's records share one string per product.
 
-    The checks run in one fixed order, so an entry with several problems
-    reports the same first one in either form: the string fields' types,
-    ``fixed_at``'s type, then each field in column order, then the
-    record's own rules.  The values come from ``json.loads`` or the CSV
-    reader, which give exact ``str`` and ``int``, so each test is on ``type``.
+    The decoder only parses the two timestamps, and fails on the first
+    that is not a string (``fixed_at`` may be null or empty) or does not
+    parse.  :class:`DefectRecord` checks every other field and lists each
+    problem it finds.
     """
     ident, product, injected, found, found_at, fixed_at, severity, status, changes = values
-    if not (
-        type(ident) is str and type(product) is str and type(injected) is str
-        and type(found) is str and type(found_at) is str and type(status) is str
-    ):
-        for key, value in zip(_STRING_KEYS, (ident, product, injected, found, found_at, status)):
-            if type(value) is not str:
-                raise ValidationError(f"{key} must be a string, got {value!r}")
+    if type(found_at) is not str:
+        raise ValidationError(f"found_at must be a string, got {found_at!r}")
     if fixed_at is not None and type(fixed_at) is not str:
         raise ValidationError(f"fixed_at must be a string or null, got {fixed_at!r}")
-    if injected not in PHASES:
-        raise ValidationError(f"unknown phase_injected {injected!r}")
-    if found not in PHASES:
-        raise ValidationError(f"unknown phase_found {found!r}")
-    found_stamp = parse_timestamp(found_at)
-    fixed_stamp = parse_timestamp(fixed_at) if fixed_at else None
-    if type(severity) is not int:
-        raise ValidationError(f"severity must be an integer, got {severity!r}")
-    if status not in STATUSES:
-        raise ValidationError(f"unknown status {status!r}")
-    if changes is not None and type(changes) is not int:
-        raise ValidationError(f"fix_changes must be an integer or null, got {changes!r}")
+    if type(product) is str:  # any other value is unhashable or the record refuses it
+        product = names.setdefault(product, product)
     return DefectRecord(
-        ident, names.setdefault(product, product), injected, found, found_stamp, fixed_stamp,
-        severity, status, changes
+        ident, product, injected, found, parse_timestamp(found_at),
+        parse_timestamp(fixed_at) if fixed_at else None, severity, status, changes
     )
 
 
@@ -438,25 +421,22 @@ def _entry_values(entry: object) -> tuple:
     return _column_values(entry)
 
 
-def _int_or_text(text: str) -> int | str:
-    # A cell that is not an integer stays text, for the record decoder
-    # to reject with the field's name.
+def _csv_int(text: str, message: str) -> int:
     try:
         return int(text)
     except ValueError:
-        return text
+        raise ValidationError(f"{message}, got {text!r}") from None
 
 
 def _csv_values(fields: list[str]) -> tuple:
     """A defect-log row's values as the ledger object it stands for would
     give them: an empty ``fix_changes`` cell is null and integer cells are
-    numbers.  An empty ``fixed_at`` cell stays empty, which the decoder
-    reads as null, as it does an empty string in a ledger object."""
+    numbers, or fail here.  An empty ``fixed_at`` cell stays empty, which
+    the decoder reads as null, as it does an empty string in a ledger object."""
     ident, product, injected, found, found_at, fixed_at, severity, status, changes = fields
-    return (
-        ident, product, injected, found, found_at, fixed_at,
-        _int_or_text(severity), status, _int_or_text(changes) if changes else None,
-    )
+    severity = _csv_int(severity, "severity must be an integer")
+    changes = _csv_int(changes, "fix_changes must be an integer or null") if changes else None
+    return ident, product, injected, found, found_at, fixed_at, severity, status, changes
 
 
 def _admit(

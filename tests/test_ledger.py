@@ -155,11 +155,11 @@ class TestParseDefectLog:
         with pytest.raises(ValidationError, match="row 1: fix_changes must be an integer"):
             parse_defect_log(text)
 
-    def test_first_problem_follows_column_order(self):
+    def test_integer_cell_that_does_not_convert_stops_the_row(self):
         text = HEADER + "\nd1,m1,sideways,review,2004-03-01T10:00:00Z,,high,open,\n"
         with pytest.raises(ValidationError) as err:
             parse_defect_log(text)
-        assert err.value.diagnostics == ("row 1: unknown phase_injected 'sideways'",)
+        assert err.value.diagnostics == ("row 1: severity must be an integer, got 'high'",)
 
     def test_input_order_preserved(self):
         text = (
@@ -452,9 +452,9 @@ class TestLedgerDocument:
         product, defect = self._entries()
         for key, value, message in (
             ("fixed_at", 5, "fixed_at must be a string or null, got 5"),
-            ("severity", None, "severity must be an integer, got None"),
+            ("severity", None, "severity must be int, got NoneType"),
             ("found_at", None, "found_at must be a string, got None"),
-            ("fix_changes", True, "fix_changes must be an integer or null, got True"),
+            ("fix_changes", True, "fix_changes must be int or NoneType, got bool"),
         ):
             with pytest.raises(ValidationError) as err:
                 load_ledger(self._ledger(product, defect | {key: value}))
@@ -584,8 +584,8 @@ class TestDefectRecordContract:
         ("severity", "3", "severity must be int, got str"),
         ("fix_changes", 1.5, "fix_changes must be int or NoneType, got float"),
         ("id", 7, "id must be str, got int"),
-        ("phase_found", ["review"], "phase_found must be str or Term, got list"),
-        ("status", None, "status must be str or Term, got NoneType"),
+        ("phase_found", ["review"], "phase_found must be str, got list"),
+        ("status", None, "status must be str, got NoneType"),
         ("found_at", "2004-03-01T10:00:00Z", "found_at must be datetime, got str"),
         ("fixed_at", 10**5000, "fixed_at must be datetime or NoneType, got int"),
     ], ids=["bool severity", "str severity", "float fix_changes", "int id", "list phase_found",

@@ -51,17 +51,18 @@ DROP = object()
 #: Changes to BASE and the diagnostics each form reports, as
 #: (change, ledger-object diagnostics, CSV-row diagnostics).  None means
 #: the entry decodes to BASE's record, and a dict that it decodes to
-#: BASE's record with those fields replaced.  Recorded before the
-#: decoder was last rewritten.
+#: BASE's record with those fields replaced.  The decoder parses the
+#: timestamps and converts CSV integer cells; the record checks the rest
+#: and lists every problem, naming a wrong type rather than the value.
 PARITY_CASES = {
     "bool severity": (
         {"severity": True},
-        ("defects[0]: severity must be an integer, got True",),
+        ("defects[0]: severity must be int, got bool",),
         ("row 1: severity must be an integer, got 'True'",),
     ),
     "float fix_changes": (
         {"fix_changes": 1.5},
-        ("defects[0]: fix_changes must be an integer or null, got 1.5",),
+        ("defects[0]: fix_changes must be int or NoneType, got float",),
         ("row 1: fix_changes must be an integer or null, got '1.5'",),
     ),
     "integer fixed_at": (
@@ -71,7 +72,7 @@ PARITY_CASES = {
     ),
     "unknown status after a bad severity": (
         {"severity": "high", "status": "lost"},
-        ("defects[0]: severity must be an integer, got 'high'",),
+        ("defects[0]: severity must be int, got str",),
         ("row 1: severity must be an integer, got 'high'",),
     ),
     "unknown status": (
@@ -81,8 +82,8 @@ PARITY_CASES = {
     ),
     "bad phase after a bad severity": (
         {"severity": "high", "phase_found": "sideways"},
-        ("defects[0]: unknown phase_found 'sideways'",),
-        ("row 1: unknown phase_found 'sideways'",),
+        ("defects[0]: severity must be int, got str",),
+        ("row 1: severity must be an integer, got 'high'",),
     ),
     "+02:00 stamp": (
         {"found_at": "2004-03-01T10:00:00+02:00"},
@@ -114,8 +115,8 @@ PARITY_CASES = {
     ),
     "non-string status and unknown phase_found": (
         {"status": 5, "phase_found": "sideways"},
-        ("defects[0]: status must be a string, got 5",),
-        ("row 1: unknown phase_found 'sideways'",),
+        ("defects[0]: status must be str, got int",),
+        ("row 1: unknown phase_found 'sideways'", "row 1: unknown status '5'"),
     ),
     "null found_at": (
         {"found_at": None},
@@ -124,13 +125,24 @@ PARITY_CASES = {
     ),
     "list id": (
         {"id": ["d1"]},
-        ("defects[0]: id must be a string, got ['d1']",),
+        ("defects[0]: id must be str, got list",),
         {"id": "['d1']"},
+    ),
+    "list product_id": (
+        {"product_id": ["m1"]},
+        ("defects[0]: product_id must be str, got list",),
+        {"product_id": "['m1']"},
     ),
     "integer phase_injected and bad severity": (
         {"phase_injected": 3, "severity": 9},
-        ("defects[0]: phase_injected must be a string, got 3",),
-        ("row 1: unknown phase_injected '3'",),
+        ("defects[0]: phase_injected must be str, got int",),
+        ("row 1: unknown phase_injected '3'", "row 1: severity must be in 1..4, got 9"),
+    ),
+    "unknown phase_found and severity 9": (
+        {"phase_found": "sideways", "severity": 9},
+        ("defects[0]: unknown phase_found 'sideways'",
+         "defects[0]: severity must be in 1..4, got 9"),
+        ("row 1: unknown phase_found 'sideways'", "row 1: severity must be in 1..4, got 9"),
     ),
     "fixed with empty fixed_at": (
         {"fixed_at": ""},
@@ -139,7 +151,7 @@ PARITY_CASES = {
     ),
     "bool fix_changes": (
         {"fix_changes": True},
-        ("defects[0]: fix_changes must be an integer or null, got True",),
+        ("defects[0]: fix_changes must be int or NoneType, got bool",),
         ("row 1: fix_changes must be an integer or null, got 'True'",),
     ),
     "empty id": (
@@ -587,7 +599,7 @@ def _ledger_documents(draw):
     defect = dict(BASE, product_id="m1")
     for entry, keys in ((product, list(product)), (defect, list(defect))):
         for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
-            entry[key] = draw(_json_scalars)
+            entry[key] = draw(_json_values)
         if draw(st.booleans()):
             entry.pop(draw(st.sampled_from(keys)))
     return json.dumps({"products": [product], "defects": [defect]})
