@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DivergenceError, NonConvergenceError, ValidationError
+from .errors import DivergenceError, NonConvergenceError, ValidationError, show_value
 
 # Each handler imports the modules it uses, so a command loads only
 # its own, and argparse loads only for a command line ``_read_exact``
@@ -171,7 +171,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.product is not None:
         profiles = [p for p in profiles if p.product_id == args.product]
         if not profiles:
-            raise ValidationError(f"unknown product {args.product!r}")
+            raise ValidationError(f"unknown product {show_value(args.product)}")
     by_product: dict[str, list[ledger.DefectRecord]] = {}
     for record in records:
         by_product.setdefault(record.product_id, []).append(record)
@@ -329,7 +329,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     scope = "all products"
     if args.product is not None:
         if not any(p.product_id == args.product for p in profiles):
-            raise ValidationError(f"unknown product {args.product!r}")
+            raise ValidationError(f"unknown product {show_value(args.product)}")
         records = [r for r in records if r.product_id == args.product]
         scope = args.product
     if not records:

@@ -29,6 +29,20 @@ def show_int(value: int) -> str:
         return f"{sign} integer of {_digit_count(abs(value))} digits"
 
 
+#: Most characters of a value's repr that a message shows.
+MAX_SHOWN = 100
+
+
+def show_value(value: object) -> str:
+    """A value as a message echoes it: its ``repr``, cut after MAX_SHOWN
+    characters and marked with its full length, so that an over-long input
+    cannot make a message of its own size.  An integer shows as :func:`show_int` does."""
+    text = show_int(value) if isinstance(value, int) else repr(value)
+    if len(text) <= MAX_SHOWN:
+        return text
+    return f"{text[:MAX_SHOWN]}... ({len(text)} characters)"
+
+
 def _digit_count(value: int) -> int:
     """Decimal digits of a positive integer, without converting it to str."""
     digits = int(math.log10(value)) + 1

@@ -23,7 +23,7 @@ from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import MAX_COUNT, ValidationError, Value, above_max_count, show_int
+from .errors import MAX_COUNT, ValidationError, Value, above_max_count, show_int, show_value
 
 T = TypeVar("T")
 
@@ -91,13 +91,13 @@ def parse_timestamp(text: str) -> datetime:
     try:
         stamp = datetime.fromisoformat(normalised)
     except ValueError:
-        raise ValidationError(f"invalid timestamp {text!r}") from None
+        raise ValidationError(f"invalid timestamp {show_value(text)}") from None
     if stamp.tzinfo is timezone.utc:
         return stamp
     if stamp.tzinfo is None:
-        raise ValidationError(f"timestamp {text!r} must carry a UTC offset")
+        raise ValidationError(f"timestamp {show_value(text)} must carry a UTC offset")
     # fromisoformat gives the timezone.utc singleton for every zero offset.
-    raise ValidationError(f"timestamp {text!r} must be UTC, not a local offset")
+    raise ValidationError(f"timestamp {show_value(text)} must be UTC, not a local offset")
 
 
 def format_timestamp(stamp: datetime) -> str:
@@ -188,9 +188,9 @@ class DefectRecord(Value):
         if not product_id:
             problems.append("product_id must be non-empty")
         if injected is None:
-            problems.append(f"unknown phase_injected {phase_injected!r}")
+            problems.append(f"unknown phase_injected {show_value(phase_injected)}")
         if found is None:
-            problems.append(f"unknown phase_found {phase_found!r}")
+            problems.append(f"unknown phase_found {show_value(phase_found)}")
         elif found is _UNKNOWN:
             problems.append("phase_found may not be 'unknown'")
         found_utc = found_at.tzinfo is _UTC or _is_utc(found_at)
@@ -200,7 +200,7 @@ class DefectRecord(Value):
         if not lo <= severity <= hi:
             problems.append(f"severity must be in {lo}..{hi}, got {show_int(severity)}")
         if state is None:
-            problems.append(f"unknown status {status!r}")
+            problems.append(f"unknown status {show_value(status)}")
         elif (state is _FIXED) != (fixed_at is not None):
             problems.append(
                 f"status {state!r} is inconsistent with "
@@ -218,7 +218,7 @@ class DefectRecord(Value):
             problems.append(above_max_count("fix_changes", fix_changes)
                             or f"fix_changes must be >= 0, got {show_int(fix_changes)}")
         if problems:
-            raise ValidationError(f"invalid defect record {id!r}", problems)
+            raise ValidationError(f"invalid defect record {show_value(id)}", problems)
 
     def __reduce__(self) -> tuple:
         # Pickle and copy rebuild the record through __init__, which validates.
@@ -230,13 +230,18 @@ def _type_problems(
 ) -> list[str]:
     """A problem for each value whose type is not exactly one of its ``kinds``.
     Each names the value's type, never its repr: the repr of an over-long integer raises.
-    A kind whose base is also listed, as :class:`Term`'s ``str`` is, goes unnamed."""
+    A kind whose base is also listed, as :class:`Term`'s ``str`` is, goes unnamed, and
+    None's type is named ``null``, as the ledger writes it."""
     return [
-        f"{name} must be {' or '.join(k.__name__ for k in types if k.__base__ not in types)}, "
-        f"got {type(value).__name__}"
+        f"{name} must be {' or '.join(_type_name(k) for k in types if k.__base__ not in types)}, "
+        f"got {_type_name(type(value))}"
         for name, value, types in zip(names, values, kinds)
         if type(value) not in types
     ]
+
+
+def _type_name(kind: type) -> str:
+    return "null" if kind is _NONE else kind.__name__
 
 
 #: Each slot's setter, in field order, for DefectRecord.__init__.
@@ -281,7 +286,7 @@ class ProductProfile(Value):
             elif value <= 0 or not math.isfinite(value):
                 problems.append(f"{name}: size must be positive, got {show_int(value)}")
         if problems:
-            raise ValidationError(f"invalid product profile {product_id!r}", problems)
+            raise ValidationError(f"invalid product profile {show_value(product_id)}", problems)
         if type(self.kloc) is int:  # held to MAX_COUNT above, so exact as a float
             self.__dict__["kloc"] = float(self.kloc)
 
@@ -314,7 +319,8 @@ def read_csv_table(
         raise ValidationError(f"{what} is empty; expected a header row")
     if tuple(rows[0]) != columns:
         raise ValidationError(
-            f"{what} header mismatch: expected {','.join(columns)}, got {','.join(rows[0])!r}"
+            f"{what} header mismatch: expected {','.join(columns)}, "
+            f"got {show_value(','.join(rows[0]))}"
         )
     decoded: list[T] = []
     diagnostics: list[str] = []
@@ -382,9 +388,9 @@ def _record_from_values(values: Sequence, names: dict[str, str]) -> DefectRecord
     """
     ident, product, injected, found, found_at, fixed_at, severity, status, changes = values
     if type(found_at) is not str:
-        raise ValidationError(f"found_at must be a string, got {found_at!r}")
+        raise ValidationError(f"found_at must be a string, got {show_value(found_at)}")
     if fixed_at is not None and type(fixed_at) is not str:
-        raise ValidationError(f"fixed_at must be a string or null, got {fixed_at!r}")
+        raise ValidationError(f"fixed_at must be a string or null, got {show_value(fixed_at)}")
     if type(product) is str:  # any other value is unhashable or the record refuses it
         product = names.setdefault(product, product)
     return DefectRecord(
@@ -393,18 +399,24 @@ def _record_from_values(values: Sequence, names: dict[str, str]) -> DefectRecord
     )
 
 
+class _Entry:
+    """A ledger entry under construction.  The instance dicts of one class
+    share one key table (PEP 412), so each entry stores only its values."""
+
+
 def _record_to_dict(record: DefectRecord) -> dict:
-    return {
-        "id": record.id,
-        "product_id": record.product_id,
-        "phase_injected": record.phase_injected,
-        "phase_found": record.phase_found,
-        "found_at": format_timestamp(record.found_at),
-        "fixed_at": format_timestamp(record.fixed_at) if record.fixed_at else None,
-        "severity": record.severity,
-        "status": record.status,
-        "fix_changes": record.fix_changes,
-    }
+    """A record as its ledger object: a plain dict, keys in column order."""
+    entry = _Entry()
+    entry.id = record.id
+    entry.product_id = record.product_id
+    entry.phase_injected = record.phase_injected
+    entry.phase_found = record.phase_found
+    entry.found_at = format_timestamp(record.found_at)
+    entry.fixed_at = format_timestamp(record.fixed_at) if record.fixed_at else None
+    entry.severity = record.severity
+    entry.status = record.status
+    entry.fix_changes = record.fix_changes
+    return entry.__dict__
 
 
 #: A ledger object's values in column order.
@@ -425,7 +437,7 @@ def _csv_int(text: str, message: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValidationError(f"{message}, got {text!r}") from None
+        raise ValidationError(f"{message}, got {show_value(text)}") from None
 
 
 def _csv_values(fields: list[str]) -> tuple:
@@ -445,10 +457,11 @@ def _admit(
     """The ledger's reference rule: defect ids are unique and, when the
     registered ``products`` are given, every record names one of them."""
     if record.id in seen_ids:
-        raise ValidationError(f"duplicate defect id {record.id!r}")
+        raise ValidationError(f"duplicate defect id {show_value(record.id)}")
     if products is not None and record.product_id not in products:
         raise ValidationError(
-            f"defect {record.id!r} references unknown product {record.product_id!r}"
+            f"defect {show_value(record.id)} references unknown product "
+            f"{show_value(record.product_id)}"
         )
     seen_ids.add(record.id)
     return record
@@ -492,11 +505,11 @@ def _series_row(fields: list[str]) -> tuple[float, int]:
     except ValueError:
         start_days = parse_timestamp(raw_start).timestamp() / 86400.0
     if not math.isfinite(start_days):
-        raise ValidationError(f"bucket_start must be finite, got {raw_start!r}")
+        raise ValidationError(f"bucket_start must be finite, got {show_value(raw_start)}")
     try:
         count = int(raw_count)
     except ValueError:
-        raise ValidationError(f"count must be an integer, got {raw_count!r}") from None
+        raise ValidationError(f"count must be an integer, got {show_value(raw_count)}") from None
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {show_int(count)}")
     if problem := above_max_count("count", count):
@@ -549,7 +562,7 @@ def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
         entry = {**entry, "description": ""}
     profile = ProductProfile(**entry)
     if profile.product_id in seen:
-        raise ValidationError(f"duplicate product_id {profile.product_id!r}")
+        raise ValidationError(f"duplicate product_id {show_value(profile.product_id)}")
     seen.add(profile.product_id)
     return profile
 

@@ -11,7 +11,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-from .errors import ValidationError, Value, above_max_count, show_int
+from .errors import ValidationError, Value, above_max_count, show_int, show_value
 
 #: Intercept of the default linear model, in issues.
 DEFAULT_LINEAR_INTERCEPT = 62.0
@@ -149,7 +149,9 @@ def _scatter_row(fields: list[str]) -> SizePoint:
     try:
         uf, issues = (int(field) for field in fields)
     except ValueError:
-        raise ValidationError(f"uf and issues must be integers, got {fields}") from None
+        raise ValidationError(
+            f"uf and issues must be integers, got {show_value(fields)}"
+        ) from None
     return SizePoint(uf=uf, issues=issues)
 
 

@@ -169,6 +169,17 @@ class TestMetrics:
         assert code == EXIT_VALIDATION
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["metrics", "report"])
+    def test_an_over_long_unknown_product_is_cut(self, sample_ledger, tmp_path, capsys, command):
+        argv = [command, "--ledger", str(sample_ledger), "--product", "q" * 100_000]
+        if command == "report":
+            argv += ["--svg", str(tmp_path / "report.svg")]
+        assert run(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown product 'qqq")
+        assert err.endswith("... (100002 characters)\n")
+        assert len(err) < 200
+
     def test_byte_determinism(self, sample_ledger, capsys):
         capsys.readouterr()
         run(["metrics", "--ledger", str(sample_ledger)])

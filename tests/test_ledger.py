@@ -297,14 +297,14 @@ class TestProductRegistry:
     @pytest.mark.parametrize(("fields", "problems"), [
         ({"product_id": 5}, ("product_id must be str, got int",)),
         ({"product_id": 10**5000}, ("product_id must be str, got int",)),
-        ({"unique_formulas": True}, ("unique_formulas must be int or NoneType, got bool",)),
-        ({"unique_formulas": 2.5}, ("unique_formulas must be int or NoneType, got float",)),
-        ({"unique_formulas": "3"}, ("unique_formulas must be int or NoneType, got str",)),
-        ({"kloc": True}, ("kloc must be float or int or NoneType, got bool",)),
-        ({"description": None}, ("description must be str, got NoneType",)),
+        ({"unique_formulas": True}, ("unique_formulas must be int or null, got bool",)),
+        ({"unique_formulas": 2.5}, ("unique_formulas must be int or null, got float",)),
+        ({"unique_formulas": "3"}, ("unique_formulas must be int or null, got str",)),
+        ({"kloc": True}, ("kloc must be float or int or null, got bool",)),
+        ({"description": None}, ("description must be str, got null",)),
         ({"kloc": "1", "function_points": 1.0}, (
-            "kloc must be float or int or NoneType, got str",
-            "function_points must be int or NoneType, got float",
+            "kloc must be float or int or null, got str",
+            "function_points must be int or null, got float",
         )),
     ], ids=["int id", "long int id", "bool formulas", "float formulas", "str formulas",
             "bool kloc", "null description", "two problems"])
@@ -319,7 +319,7 @@ class TestProductRegistry:
         with pytest.raises(ValidationError) as err:
             load_ledger(ledger)
         assert err.value.diagnostics == (
-            "products[0]: kloc must be float or int or NoneType, got bool",
+            "products[0]: kloc must be float or int or null, got bool",
         )
 
 
@@ -452,9 +452,9 @@ class TestLedgerDocument:
         product, defect = self._entries()
         for key, value, message in (
             ("fixed_at", 5, "fixed_at must be a string or null, got 5"),
-            ("severity", None, "severity must be int, got NoneType"),
+            ("severity", None, "severity must be int, got null"),
             ("found_at", None, "found_at must be a string, got None"),
-            ("fix_changes", True, "fix_changes must be int or NoneType, got bool"),
+            ("fix_changes", True, "fix_changes must be int or null, got bool"),
         ):
             with pytest.raises(ValidationError) as err:
                 load_ledger(self._ledger(product, defect | {key: value}))
@@ -582,12 +582,12 @@ class TestDefectRecordContract:
     @pytest.mark.parametrize(("field", "value", "problem"), [
         ("severity", True, "severity must be int, got bool"),
         ("severity", "3", "severity must be int, got str"),
-        ("fix_changes", 1.5, "fix_changes must be int or NoneType, got float"),
+        ("fix_changes", 1.5, "fix_changes must be int or null, got float"),
         ("id", 7, "id must be str, got int"),
         ("phase_found", ["review"], "phase_found must be str, got list"),
-        ("status", None, "status must be str, got NoneType"),
+        ("status", None, "status must be str, got null"),
         ("found_at", "2004-03-01T10:00:00Z", "found_at must be datetime, got str"),
-        ("fixed_at", 10**5000, "fixed_at must be datetime or NoneType, got int"),
+        ("fixed_at", 10**5000, "fixed_at must be datetime or null, got int"),
     ], ids=["bool severity", "str severity", "float fix_changes", "int id", "list phase_found",
             "None status", "str found_at", "over-long int fixed_at"])
     def test_field_types_are_checked(self, field, value, problem):

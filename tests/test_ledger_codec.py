@@ -30,7 +30,7 @@ from defectlab import (
     serialize_product_registry,
 )
 from defectlab.cli import EXIT_OK, EXIT_VALIDATION, run
-from defectlab.errors import MAX_COUNT
+from defectlab.errors import MAX_COUNT, show_value
 from defectlab.ledger import DEFECT_CSV_COLUMNS, PHASES, STATUSES, Term, format_timestamp
 
 #: One valid fixed defect, as a ledger object.
@@ -62,7 +62,7 @@ PARITY_CASES = {
     ),
     "float fix_changes": (
         {"fix_changes": 1.5},
-        ("defects[0]: fix_changes must be int or NoneType, got float",),
+        ("defects[0]: fix_changes must be int or null, got float",),
         ("row 1: fix_changes must be an integer or null, got '1.5'",),
     ),
     "integer fixed_at": (
@@ -151,7 +151,7 @@ PARITY_CASES = {
     ),
     "bool fix_changes": (
         {"fix_changes": True},
-        ("defects[0]: fix_changes must be int or NoneType, got bool",),
+        ("defects[0]: fix_changes must be int or null, got bool",),
         ("row 1: fix_changes must be an integer or null, got 'True'",),
     ),
     "empty id": (
@@ -268,19 +268,20 @@ _ZERO = timedelta(0)
 
 def _reference_parse_timestamp(text: str) -> datetime:
     """``parse_timestamp`` as it was before it tried ``fromisoformat`` on
-    the raw text first: the reference for its results and messages."""
+    the raw text first: the reference for its results and messages, which
+    show the text as every decoder message does."""
     raw = text.strip()
     normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
         stamp = datetime.fromisoformat(normalised)
     except ValueError:
-        raise ValidationError(f"invalid timestamp {text!r}") from None
+        raise ValidationError(f"invalid timestamp {show_value(text)}") from None
     if stamp.tzinfo is timezone.utc:
         return stamp
     if stamp.tzinfo is None:
-        raise ValidationError(f"timestamp {text!r} must carry a UTC offset")
+        raise ValidationError(f"timestamp {show_value(text)} must carry a UTC offset")
     if stamp.utcoffset() != _ZERO:
-        raise ValidationError(f"timestamp {text!r} must be UTC, not a local offset")
+        raise ValidationError(f"timestamp {show_value(text)} must be UTC, not a local offset")
     return stamp
 
 
@@ -444,7 +445,7 @@ _profiles = st.lists(_names, min_size=1, max_size=4, unique=True).flatmap(
 
 
 @st.composite
-def _ledgers(draw):
+def _ledgers(draw, names=_names):
     profiles = draw(_profiles)
     records = []
     for index in range(draw(st.integers(0, 6))):
@@ -453,7 +454,7 @@ def _ledgers(draw):
             lambda delta: found + delta
         ))
         records.append(DefectRecord(
-            id=f"{draw(_names)}-{index}",
+            id=f"{draw(names)}-{index}",
             product_id=draw(st.sampled_from([p.product_id for p in profiles])),
             phase_injected=draw(st.sampled_from(list(PHASES))),
             phase_found=draw(st.sampled_from([p for p in PHASES if p != "unknown"])),
@@ -470,6 +471,54 @@ def _ledgers(draw):
 def test_load_inverts_dump(ledger):
     profiles, records = ledger
     assert load_ledger(dump_ledger(profiles, records)) == (profiles, records)
+
+
+#: Ids full of what JSON must escape or may write as it stands: quotes,
+#: backslashes, control characters and non-ASCII text.
+_awkward_names = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "中", "\U0001f600"])
+    | st.characters(),
+    min_size=1, max_size=8,
+)
+
+
+def _entry_literal(record: DefectRecord) -> dict:
+    return {
+        "id": record.id,
+        "product_id": record.product_id,
+        "phase_injected": record.phase_injected,
+        "phase_found": record.phase_found,
+        "found_at": format_timestamp(record.found_at),
+        "fixed_at": None if record.fixed_at is None else format_timestamp(record.fixed_at),
+        "severity": record.severity,
+        "status": record.status,
+        "fix_changes": record.fix_changes,
+    }
+
+
+@given(_ledgers(names=_awkward_names))
+def test_ledger_entries_are_the_dict_literals(ledger_):
+    # The entries are built another way than as literals; they must be
+    # exact dicts, equal key for key and in order, and write the same text.
+    profiles, records = ledger_
+    entries = ledger.build_ledger(profiles, records)["defects"]
+    literals = [_entry_literal(r) for r in records]
+    for entry, literal in zip(entries, literals, strict=True):
+        assert type(entry) is dict
+        assert list(entry.items()) == list(literal.items())
+        assert tuple(entry) == DEFECT_CSV_COLUMNS
+    products = [
+        {"product_id": p.product_id, "unique_formulas": p.unique_formulas, "kloc": p.kloc,
+         "function_points": p.function_points, "description": p.description}
+        for p in profiles
+    ]
+    expected = json.dumps({"products": products, "defects": literals}, indent=2) + "\n"
+    assert dump_ledger(profiles, records) == expected
+    if entries:
+        entries[0]["extra"] = 1
+        assert entries[0] == {**literals[0], "extra": 1}
+        assert entries[1:] == literals[1:]
+        assert all(list(e) == list(DEFECT_CSV_COLUMNS) for e in entries[1:])
 
 
 
@@ -643,3 +692,40 @@ def test_metrics_keeps_the_exit_code_contract(document):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
         _assert_contract(*_run_quietly(["metrics", "--ledger", path]))
+
+
+# -- Over-long values in messages ---------------------------------------
+
+_LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize("entries", [
+    [{"found_at": _LONG}],
+    [{"status": _LONG}],
+    [{"id": _LONG}, {"id": _LONG}],
+    [{"id": _LONG, "product_id": _LONG}],
+], ids=["found_at", "status", "duplicate id", "id of an unknown product"])
+def test_metrics_cuts_an_over_long_value_in_its_message(tmp_path, entries):
+    path = tmp_path / "ledger.json"
+    defects = [BASE | change for change in entries]
+    path.write_text(json.dumps({"products": PRODUCTS, "defects": defects}), encoding="utf-8")
+    code, err = _run_quietly(["metrics", "--ledger", str(path)])
+    assert code == EXIT_VALIDATION
+    _assert_contract(code, err)
+    assert "... (200002 characters)" in err
+    assert len(err.encode()) < 1024
+
+
+def test_ingest_cuts_an_over_long_cell_in_its_message(tmp_path):
+    paths = {name: tmp_path / name for name in ("d.csv", "p.json", "out.json")}
+    paths["d.csv"].write_text(_csv_text(BASE | {"phase_found": "y" * 100_000}), encoding="utf-8")
+    paths["p.json"].write_text(json.dumps(PRODUCTS), encoding="utf-8")
+    code, err = _run_quietly([
+        "ingest", "--defects", str(paths["d.csv"]), "--products", str(paths["p.json"]),
+        "--out", str(paths["out.json"]),
+    ])
+    assert code == EXIT_VALIDATION
+    _assert_contract(code, err)
+    assert "unknown phase_found 'yyy" in err and "... (100002 characters)" in err
+    assert len(err.encode()) < 1024
+    assert not paths["out.json"].exists()
