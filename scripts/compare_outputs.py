@@ -3,7 +3,8 @@
     python3 scripts/compare_outputs.py PARENT CHANGE [--rows N ...]
 
 For each row count, ``perfbench/gen.py --seed 1`` writes the inputs
-once.  Then every command kind of ``perfbench/run.py``'s ``script()``
+once.  Then every command kind of ``perfbench/run.py``'s ``script()``,
+followed by the CSV forms of ``metrics`` and ``forecast --table``,
 runs as ``python -m defectlab`` in PARENT, in order, and again in
 CHANGE, each with that checkout's ``src`` on ``PYTHONPATH``.  Both sides
 read the same input paths and write to the same output paths, since
@@ -88,6 +89,14 @@ def compare(parent: Path, change: Path, rows: int, work: Path) -> list[str]:
     )
     commands = runner.script(runner.Workload(rows=rows, mc_trials=MC_TRIALS), inputs, outputs,
                              SEED)
+    # The benchmark runs both commands in their JSON form only; the
+    # ledger is the one its ``ingest`` wrote.
+    commands += [
+        runner.Command("metrics_csv",
+                       ("metrics", "--ledger", f"{outputs}/ledger.json", "--format", "csv"), 0),
+        runner.Command("forecast_table_csv",
+                       ("forecast", "--units", "2000", "--table", "--format", "csv"), 0),
+    ]
     return differences(run_side(parent, commands, outputs), run_side(change, commands, outputs))
 
 

@@ -39,7 +39,8 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        shown = show_value(path)
+        raise ValidationError(f"{shown} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -102,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message: str):  # noqa: ANN201 - argparse signature
-            raise ValidationError(message)
+            # argparse echoes unrecognized tokens raw; escape a newline in one.
+            raise ValidationError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
 
     parser = _Parser(prog="defectlab", description="Defect analytics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

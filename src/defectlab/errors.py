@@ -29,15 +29,19 @@ def show_int(value: int) -> str:
         return f"{sign} integer of {_digit_count(abs(value))} digits"
 
 
-#: Most characters of a value's repr that a message shows.
+#: Most characters of an echoed value that a message shows.
 MAX_SHOWN = 100
 
 
 def show_value(value: object) -> str:
-    """A value as a message echoes it: its ``repr``, cut after MAX_SHOWN
-    characters and marked with its full length, so that an over-long input
-    cannot make a message of its own size.  An integer shows as :func:`show_int` does."""
-    text = show_int(value) if isinstance(value, int) else repr(value)
+    """A value as a message echoes it: its ``repr``, cut as :func:`cut` cuts.
+    An integer shows as :func:`show_int` does."""
+    return cut(show_int(value) if isinstance(value, int) else repr(value))
+
+
+def cut(text: str) -> str:
+    """``text`` cut after MAX_SHOWN characters and marked with its full
+    length, so that an over-long input cannot make a message of its own size."""
     if len(text) <= MAX_SHOWN:
         return text
     return f"{text[:MAX_SHOWN]}... ({len(text)} characters)"
@@ -132,10 +136,12 @@ class Value:
     def __hash__(self) -> int:
         return hash(self._values())
 
+    def _asdict(self) -> dict:
+        """The fields by name, in ``__match_args__`` order: a value's one dict form."""
+        return dict(zip(self.__match_args__, self._values()))
+
     def __repr__(self) -> str:
-        shown = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values())
-        )
+        shown = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({shown})"
 
     # Only misuse pays for importing dataclasses, for its error type.

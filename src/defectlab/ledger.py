@@ -23,7 +23,7 @@ from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import MAX_COUNT, ValidationError, Value, above_max_count, show_int, show_value
+from .errors import MAX_COUNT, ValidationError, Value, above_max_count, cut, show_int, show_value
 
 T = TypeVar("T")
 
@@ -270,15 +270,16 @@ class ProductProfile(Value):
     description: str = ""
 
     def __post_init__(self) -> None:
-        names, values = self.__match_args__, self._values()
-        if problems := _type_problems(names, values, _PROFILE_TYPES):
+        sizes = self._asdict()  # every field, until the two that are not sizes leave
+        if problems := _type_problems(sizes, sizes.values(), _PROFILE_TYPES):
             raise ValidationError("invalid product profile", problems)
-        product_id, *sizes, _ = values
+        product_id = sizes.pop("product_id")
+        del sizes["description"]
         if not product_id:
             problems.append("product_id must be non-empty")
-        if all(s is None for s in sizes):
+        if all(s is None for s in sizes.values()):
             problems.append("at least one size measure is required")
-        for name, value in zip(names[1:], sizes):
+        for name, value in sizes.items():
             if value is None:
                 continue
             if type(value) is int and (problem := above_max_count(name, value)):
@@ -293,10 +294,7 @@ class ProductProfile(Value):
 
 #: Each profile field's types, in field order.
 _PROFILE_TYPES = ((str,), (int, _NONE), (float, int, _NONE), (int, _NONE), (str,))
-
-#: Key order for product registry JSON entries.
-PRODUCT_JSON_KEYS = ProductProfile.__match_args__
-_PRODUCT_KEYS = frozenset(PRODUCT_JSON_KEYS)
+_PRODUCT_KEYS = frozenset(ProductProfile.__match_args__)
 
 
 def read_csv_table(
@@ -370,8 +368,8 @@ def _check_keys(entry: object, keys: frozenset[str]) -> None:
         raise ValidationError("expected an object")
     if not entry.keys() <= keys:
         # A key that is not printable, a newline say, is shown escaped so
-        # that it cannot start a line of its own in the message.
-        unknown = (k if k.isprintable() else repr(k) for k in sorted(entry.keys() - keys))
+        # that it cannot start a line of its own, and a long key is cut.
+        unknown = (cut(k if k.isprintable() else repr(k)) for k in sorted(entry.keys() - keys))
         raise ValidationError(f"unknown keys {', '.join(unknown)}")
 
 
@@ -567,10 +565,6 @@ def _profile_from_dict(entry: object, seen: set[str]) -> ProductProfile:
     return profile
 
 
-def _profile_to_dict(profile: ProductProfile) -> dict:
-    return dict(zip(PRODUCT_JSON_KEYS, profile._values()))
-
-
 def parse_product_registry(text: str) -> list[ProductProfile]:
     """Parse a product registry JSON array into profiles."""
     data = _load_json(text, "product registry")
@@ -586,7 +580,7 @@ def parse_product_registry(text: str) -> list[ProductProfile]:
 
 def serialize_product_registry(profiles: Iterable[ProductProfile]) -> str:
     """Render profiles as a product registry JSON array with fixed key order."""
-    return json.dumps([_profile_to_dict(p) for p in profiles], indent=2) + "\n"
+    return json.dumps([p._asdict() for p in profiles], indent=2) + "\n"
 
 
 def build_ledger(
@@ -608,7 +602,7 @@ def build_ledger(
     if diagnostics:
         raise ValidationError("ledger failed validation", diagnostics)
     return {
-        "products": [_profile_to_dict(p) for p in profiles],
+        "products": [p._asdict() for p in profiles],
         "defects": [_record_to_dict(r) for r in records],
     }
 

@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 from datetime import timedelta
 
-from .errors import ValidationError, Value, above_max_count, show_int
+from .errors import ValidationError, Value, above_max_count, show_int, show_value
 from .ledger import DefectRecord, ProductProfile
 
 #: How the injection rate is estimated when true injected counts are
@@ -57,11 +57,8 @@ class MetricsSummary(Value):
             if value is not None and value < 0.0:
                 problems.append(f"{name} must be >= 0, got {value}")
         if problems:
-            raise ValidationError(f"invalid metrics summary for {self.product_id!r}", problems)
-
-
-#: Field order for MetricsSummary serialization (JSON and CSV).
-SUMMARY_FIELDS = MetricsSummary.__match_args__
+            product = show_value(self.product_id)
+            raise ValidationError(f"invalid metrics summary for {product}", problems)
 
 
 def defect_density(defects: int, size: float) -> float:
@@ -131,8 +128,8 @@ def summarize(records: Sequence[DefectRecord], profile: ProductProfile) -> Metri
     strangers = sorted({r.id for r in records if r.product_id != profile.product_id})
     if strangers:
         raise ValidationError(
-            f"records do not belong to product {profile.product_id!r}: "
-            + ", ".join(repr(s) for s in strangers)
+            f"records do not belong to product {show_value(profile.product_id)}: "
+            + ", ".join(map(show_value, strangers))
         )
     count = len(records)
     if count == 0:
@@ -160,7 +157,7 @@ def summarize(records: Sequence[DefectRecord], profile: ProductProfile) -> Metri
 
 def summary_to_dict(summary: MetricsSummary) -> dict:
     """Summary as a dict in fixed field order, plus estimator metadata."""
-    out = dict(zip(SUMMARY_FIELDS, summary._values()))
+    out = summary._asdict()
     if summary.injection_rate is not None:
         out["injection_rate_basis"] = INJECTION_RATE_BASIS
     return out
@@ -174,7 +171,7 @@ def summaries_to_csv(summaries: Iterable[MetricsSummary]) -> str:
     """CSV with one row per product; absent metrics are empty cells."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(SUMMARY_FIELDS)
+    writer.writerow(MetricsSummary.__match_args__)
     for s in summaries:
         writer.writerow(["" if v is None else v for v in s._values()])
     return out.getvalue()

@@ -39,8 +39,7 @@ def make_record(
 def with_fields(record: DefectRecord, **changes: object) -> DefectRecord:
     """The record with some fields changed, built by the constructor,
     which validates the result."""
-    fields = {name: getattr(record, name) for name in DefectRecord.__match_args__}
-    return DefectRecord(**(fields | changes))
+    return DefectRecord(**(record._asdict() | changes))
 
 
 @pytest.fixture

@@ -740,6 +740,12 @@ CONTRACT_CASES = {
     "non-UTF-8, fit-arrival --series": lambda t: [
         "fit-arrival", "--series", _file(t, "not-utf8.csv", NOT_UTF8),
     ],
+    "non-UTF-8, a newline in the path, estimate --fit": lambda t: [
+        "estimate", "--fit", _file(t, "not-utf8\nerror: x.csv", NOT_UTF8),
+    ],
+    "an unrecognized token holding a newline, forecast": lambda t: [
+        "forecast", "--units", "5", "--dir", "0.1", "--dre", "0.5", "x\nerror: injected",
+    ],
     "report --bucket-days 1e10": lambda t: [
         "report", "--ledger", _ledger(t), "--svg", str(t / "out.svg"), "--bucket-days", "1e10",
     ],
@@ -873,6 +879,10 @@ CONTRACT_STDERR = {
         "error: density of 2 over a size of 1e-310 overflows\n"
     ),
     "report on a ledger with no defects": "error: no defect records to chart\n",
+    # argparse joins unrecognized tokens raw; the message escapes the newline.
+    "an unrecognized token holding a newline, forecast": (
+        "error: unrecognized arguments: x\\nerror: injected\n"
+    ),
     # An inferred width wider than any --bucket-days would be accepted.
     "series spacing beyond float range, fit-arrival --series": (
         "error: bucket spacing of inf days is wider than 999999999 days\n"

@@ -36,3 +36,23 @@ def test_a_changed_output_file_is_reported(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert done.stdout.startswith("rows 300: file ledger.json: ")
     assert done.stdout.endswith("rows 300: 1 difference(s)\n")
+
+
+def test_a_changed_csv_form_is_reported(tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(REPO / "src", change / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for name, old, new in [
+        ("metrics.py", "csv.writer(out)", 'csv.writer(out, lineterminator="\\n")'),
+        ("revisions.py", '"dre_pct\\\\dir_pct,"', '"dre_pct/dir_pct,"'),
+    ]:
+        module = change / "src" / "defectlab" / name
+        text = module.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        module.write_text(text.replace(old, new), encoding="utf-8")
+    done = _compare(REPO, change)
+    assert done.returncode == 1, done.stdout + done.stderr
+    *found, total = done.stdout.splitlines()
+    assert [line.split(": ")[:3] for line in found] == [
+        ["rows 300", "forecast_table_csv", "stdout"], ["rows 300", "metrics_csv", "stdout"],
+    ]
+    assert total == "rows 300: 2 difference(s)"

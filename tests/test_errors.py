@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_record
 from defectlab import (
+    MetricsSummary,
     ProcessParams,
     ProductProfile,
     SizePoint,
@@ -17,6 +18,7 @@ from defectlab import (
     parse_scatter,
     parse_series,
     simulate_monte_carlo,
+    summarize,
 )
 from defectlab.errors import MAX_SHOWN, show_int, show_value
 
@@ -83,6 +85,10 @@ HUGE = "z" * 50_000
         f'[{{"product_id": "{HUGE}", "kloc": 1}}, {{"product_id": "{HUGE}", "kloc": 1}}]'
     )),
     ("profile", lambda: ProductProfile(product_id=HUGE, kloc=-1.0)),
+    ("records of another product", lambda: summarize(
+        [make_record(rid=HUGE, product_id="m2")], ProductProfile(product_id=HUGE, kloc=1.0)
+    )),
+    ("metrics summary", lambda: MetricsSummary(product_id=HUGE, defect_count=-1)),
 ])
 def test_decoder_messages_cut_an_over_long_value(case, call):
     with pytest.raises(ValidationError) as err:

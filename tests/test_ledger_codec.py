@@ -716,6 +716,19 @@ def test_metrics_cuts_an_over_long_value_in_its_message(tmp_path, entries):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize("where", ["defects", "products"])
+def test_metrics_cuts_an_over_long_unknown_key(tmp_path, where):
+    path = tmp_path / "ledger.json"
+    document = {"products": PRODUCTS, "defects": [BASE]}
+    document[where] = [document[where][0] | {_LONG: 1}]
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, err = _run_quietly(["metrics", "--ledger", str(path)])
+    assert code == EXIT_VALIDATION
+    _assert_contract(code, err)
+    assert f"{where}[0]: unknown keys {'x' * 100}... (200000 characters)" in err
+    assert len(err.encode()) < 1024
+
+
 def test_ingest_cuts_an_over_long_cell_in_its_message(tmp_path):
     paths = {name: tmp_path / name for name in ("d.csv", "p.json", "out.json")}
     paths["d.csv"].write_text(_csv_text(BASE | {"phase_found": "y" * 100_000}), encoding="utf-8")

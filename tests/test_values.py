@@ -140,6 +140,10 @@ def test_value_type_keeps_the_frozen_dataclass_contract(cls, fields, defaults, b
             assert not hasattr(value, "__dict__")
         else:
             assert list(value.__dict__.items()) == fields
+        # The one dict form: a new dict each call, fields in order.
+        assert list(value._asdict().items()) == fields
+        value._asdict().clear()
+        assert value == cls(*values)
     value = cls(*values)
     assert value.__eq__(reference(*values)) is NotImplemented
     assert value != reference(*values)
