@@ -26,6 +26,7 @@ from .errors import DivergenceError, NonConvergenceError, ValidationError, show_
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Callable
 
     from . import rayleigh, revisions
 
@@ -47,112 +48,6 @@ def _write_text(path: str, text: str) -> None:
     # Text is always fully computed before this point, so a failed
     # command never leaves a half-written output file behind.
     Path(path).write_text(text, encoding="utf-8")
-
-
-#: Each subcommand's help line and its flags, in ``--help`` order.  A
-#: flag maps to its ``add_argument`` keywords; ``_build_parser`` passes
-#: them on as they are, and ``_read_exact`` reads ``action``, ``type``,
-#: ``choices``, ``required`` and ``default`` from the same dicts.
-_COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
-    "ingest": ("validate a defect CSV and product JSON into a ledger", {
-        "--defects": {"required": True, "help": "defect log CSV path"},
-        "--products": {"required": True, "help": "product registry JSON path"},
-        "--out": {"required": True, "help": "ledger JSON output path"},
-    }),
-    "metrics": ("quality metrics per product from a ledger", {
-        "--ledger": {"required": True, "help": "ledger JSON path"},
-        "--product": {"help": "restrict to one product id"},
-        "--format": {"choices": ("json", "csv"), "default": "json"},
-    }),
-    "forecast": ("revisions to sign-off from injection/removal rates", {
-        "--units": {"required": True, "type": int, "help": "units of work in the build"},
-        "--dir": {"type": float, "help": "defect injection rate, as a fraction"},
-        "--dre": {"type": float, "help": "defect removal efficiency, as a fraction"},
-        "--threshold": {"type": float,
-                        "help": "sign-off threshold on expected residual defects"},
-        "--monte-carlo": {"action": "store_true", "help": "simulate instead of recurring"},
-        "--trials": {"type": int, "help": "Monte Carlo trial count"},
-        "--seed": {"type": int, "help": "Monte Carlo seed (required with --monte-carlo)"},
-        "--table": {"action": "store_true",
-                    "help": "emit the full rate grid instead of a single forecast"},
-        "--format": {"choices": ("json", "csv"), "default": "json",
-                     "help": "output form for --table"},
-    }),
-    "estimate": ("expected issues from model size", {
-        "--uf": {"type": int, "help": "unique formula count to estimate for"},
-        "--model": {"choices": ("linear", "sqrt", "both"), "default": "both"},
-        "--fit": {"help": "scatter CSV (uf,issues) to fit models to"},
-    }),
-    "fit-arrival": ("fit the arrival model to a bucketed series", {
-        "--series": {"required": True, "help": "CSV with columns bucket_start,count"},
-        "--out": {"help": "write fit JSON here instead of stdout"},
-    }),
-    "report": ("arrival chart (SVG) with fitted overlay from a ledger", {
-        "--ledger": {"required": True, "help": "ledger JSON path"},
-        "--svg": {"required": True, "help": "SVG output path"},
-        "--product": {"help": "restrict to one product id"},
-        "--bucket-days": {"type": float, "default": 7.0, "help": "arrival bucket width in days"},
-    }),
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser for ``_COMMANDS``: the reference reader, and
-    the only one that prints help or usage errors."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message: str):  # noqa: ANN201 - argparse signature
-            # argparse echoes unrecognized tokens raw; escape a newline in one.
-            raise ValidationError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
-
-    parser = _Parser(prog="defectlab", description="Defect analytics toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, (help_line, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        for flag, keywords in flags.items():
-            p.add_argument(flag, **keywords)
-    return parser
-
-
-def _read_exact(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace ``_build_parser().parse_args(argv)`` returns, or None.
-
-    Reads only a subcommand followed by its exact long flags, each
-    ``store_true`` flag alone and each other flag with a value that does
-    not start with ``-``; the last of a repeated flag wins.  Every value
-    must convert and be one of the flag's choices, and every required
-    flag must be present.  Anything else (help, ``--flag=value``, an
-    abbreviation, ``--``, any error) is None, for argparse to read.
-    """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    flags = _COMMANDS[argv[0]][1]
-    seen: dict[str, object] = {}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        keywords = flags.get(token)
-        if keywords is None:
-            return None
-        if keywords.get("action") == "store_true":
-            seen[token] = True
-            continue
-        value = next(tokens, None)
-        if value is None or value.startswith("-"):
-            return None
-        try:
-            seen[token] = keywords.get("type", str)(value)
-        except ValueError:
-            return None
-        if "choices" in keywords and seen[token] not in keywords["choices"]:
-            return None
-    values: dict[str, object] = {"command": argv[0]}
-    for flag, keywords in flags.items():
-        if flag not in seen and keywords.get("required"):
-            return None
-        unset = False if keywords.get("action") == "store_true" else keywords.get("default")
-        values[flag[2:].replace("-", "_")] = seen.get(flag, unset)
-    return SimpleNamespace(**values)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -245,42 +140,32 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_payloads(model: str, linear, sqrt, key: str, score) -> dict:
-    """An object per model ``model`` selects, made on demand, with ``score(predict)`` at ``key``."""
-    from . import sizing
-
-    payload = {}
-    if model in ("linear", "both"):
-        line = linear()
-        payload["linear"] = {"intercept": line.intercept, "slope": line.slope,
-                             key: score(lambda uf: sizing.linear_estimate(uf, line))}
-    if model in ("sqrt", "both"):
-        root = sqrt()
-        payload["sqrt"] = {"coefficient": root.coefficient,
-                           key: score(lambda uf: sizing.sqrt_estimate(uf, root))}
-    return payload
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from . import sizing
 
     if (args.uf is None) == (args.fit is None):
         raise ValidationError("estimate needs exactly one of --uf or --fit")
     if args.uf is not None:
-        payload: dict = {"uf": args.uf} | _model_payloads(
-            args.model, lambda: sizing.DEFAULT_LINEAR_MODEL, lambda: sizing.DEFAULT_SQRT_MODEL,
-            "estimate", lambda predict: predict(args.uf),
-        )
+        payload: dict = {"uf": args.uf}
     else:
         points = sizing.parse_scatter(_read_text(args.fit))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            payload = {"points": len(points)} | _model_payloads(
-                args.model, lambda: sizing.fit_linear(points), lambda: sizing.fit_sqrt(points),
-                "rss", lambda predict: sizing.residual_sum_of_squares(points, predict),
-            )
-        for caught_warning in caught:
-            print(f"warning: {caught_warning.message}", file=sys.stderr)
+        payload = {"points": len(points)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for form, default, fit, predict in (
+            ("linear", sizing.DEFAULT_LINEAR_MODEL, sizing.fit_linear, sizing.linear_estimate),
+            ("sqrt", sizing.DEFAULT_SQRT_MODEL, sizing.fit_sqrt, sizing.sqrt_estimate),
+        ):
+            if args.model not in (form, "both"):
+                continue
+            if args.uf is not None:
+                payload[form] = default._asdict() | {"estimate": predict(args.uf, default)}
+            else:
+                model = fit(points)
+                rss = sizing.residual_sum_of_squares(points, lambda uf: predict(uf, model))
+                payload[form] = model._asdict() | {"rss": rss}
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -339,15 +224,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     counts = ledger.arrival_series(records, width)
 
     fitted = fit_payload = fit_note = None
-    if len(counts) >= 3:
-        try:
-            fit = rayleigh.fit_arrival(counts)
-            fitted = rayleigh.expected_bucket_counts(fit.k_total, fit.sigma, len(counts))
-            fit_payload = _fit_payload(fit, args.bucket_days)
-        except (NonConvergenceError, ValidationError) as exc:
-            fit_note = str(exc)
-    else:
-        fit_note = "too few buckets for an arrival fit (need 3)"
+    try:
+        fit = rayleigh.fit_arrival(counts)
+        fitted = rayleigh.expected_bucket_counts(fit.k_total, fit.sigma, len(counts))
+        fit_payload = _fit_payload(fit, args.bucket_days)
+    except (NonConvergenceError, ValidationError) as exc:
+        fit_note = str(exc)
 
     svg = charts.arrival_chart(counts, fitted, title=f"Defect arrivals: {scope}")
     _write_text(args.svg, svg)
@@ -362,14 +244,111 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "metrics": _cmd_metrics,
-    "forecast": _cmd_forecast,
-    "estimate": _cmd_estimate,
-    "fit-arrival": _cmd_fit_arrival,
-    "report": _cmd_report,
+#: Each subcommand's handler, help line and flags, in ``--help`` order.
+#: A flag maps to its ``add_argument`` keywords; ``_build_parser``
+#: passes them on as they are, and ``_read_exact`` reads ``action``,
+#: ``type``, ``choices``, ``required`` and ``default`` from the same
+#: dicts.  ``_dispatch`` calls the handler.
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, dict]]] = {
+    "ingest": (_cmd_ingest, "validate a defect CSV and product JSON into a ledger", {
+        "--defects": {"required": True, "help": "defect log CSV path"},
+        "--products": {"required": True, "help": "product registry JSON path"},
+        "--out": {"required": True, "help": "ledger JSON output path"},
+    }),
+    "metrics": (_cmd_metrics, "quality metrics per product from a ledger", {
+        "--ledger": {"required": True, "help": "ledger JSON path"},
+        "--product": {"help": "restrict to one product id"},
+        "--format": {"choices": ("json", "csv"), "default": "json"},
+    }),
+    "forecast": (_cmd_forecast, "revisions to sign-off from injection/removal rates", {
+        "--units": {"required": True, "type": int, "help": "units of work in the build"},
+        "--dir": {"type": float, "help": "defect injection rate, as a fraction"},
+        "--dre": {"type": float, "help": "defect removal efficiency, as a fraction"},
+        "--threshold": {"type": float,
+                        "help": "sign-off threshold on expected residual defects"},
+        "--monte-carlo": {"action": "store_true", "help": "simulate instead of recurring"},
+        "--trials": {"type": int, "help": "Monte Carlo trial count"},
+        "--seed": {"type": int, "help": "Monte Carlo seed (required with --monte-carlo)"},
+        "--table": {"action": "store_true",
+                    "help": "emit the full rate grid instead of a single forecast"},
+        "--format": {"choices": ("json", "csv"), "default": "json",
+                     "help": "output form for --table"},
+    }),
+    "estimate": (_cmd_estimate, "expected issues from model size", {
+        "--uf": {"type": int, "help": "unique formula count to estimate for"},
+        "--model": {"choices": ("linear", "sqrt", "both"), "default": "both"},
+        "--fit": {"help": "scatter CSV (uf,issues) to fit models to"},
+    }),
+    "fit-arrival": (_cmd_fit_arrival, "fit the arrival model to a bucketed series", {
+        "--series": {"required": True, "help": "CSV with columns bucket_start,count"},
+        "--out": {"help": "write fit JSON here instead of stdout"},
+    }),
+    "report": (_cmd_report, "arrival chart (SVG) with fitted overlay from a ledger", {
+        "--ledger": {"required": True, "help": "ledger JSON path"},
+        "--svg": {"required": True, "help": "SVG output path"},
+        "--product": {"help": "restrict to one product id"},
+        "--bucket-days": {"type": float, "default": 7.0, "help": "arrival bucket width in days"},
+    }),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for ``_COMMANDS``: the reference reader, and
+    the only one that prints help or usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # noqa: ANN201 - argparse signature
+            # argparse echoes unrecognized tokens raw; escape a newline in one.
+            raise ValidationError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
+
+    parser = _Parser(prog="defectlab", description="Defect analytics toolkit")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for command, (_handler, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+def _read_exact(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, or None.
+
+    Reads only a subcommand followed by its exact long flags, each
+    ``store_true`` flag alone and each other flag with a value that does
+    not start with ``-``; the last of a repeated flag wins.  Every value
+    must convert and be one of the flag's choices, and every required
+    flag must be present.  Anything else (help, ``--flag=value``, an
+    abbreviation, ``--``, any error) is None, for argparse to read.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][2]
+    seen: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = flags.get(token)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            seen[token] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            seen[token] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and seen[token] not in keywords["choices"]:
+            return None
+    values: dict[str, object] = {"command": argv[0]}
+    for flag, keywords in flags.items():
+        if flag not in seen and keywords.get("required"):
+            return None
+        unset = False if keywords.get("action") == "store_true" else keywords.get("default")
+        values[flag[2:].replace("-", "_")] = seen.get(flag, unset)
+    return SimpleNamespace(**values)
 
 
 def _dispatch(argv: Sequence[str] | None) -> int:
@@ -377,7 +356,7 @@ def _dispatch(argv: Sequence[str] | None) -> int:
         args = _read_exact(sys.argv[1:] if argv is None else argv)
         if args is None:
             args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     except ValidationError as exc:

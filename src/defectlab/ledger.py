@@ -504,10 +504,7 @@ def _series_row(fields: list[str]) -> tuple[float, int]:
         start_days = parse_timestamp(raw_start).timestamp() / 86400.0
     if not math.isfinite(start_days):
         raise ValidationError(f"bucket_start must be finite, got {show_value(raw_start)}")
-    try:
-        count = int(raw_count)
-    except ValueError:
-        raise ValidationError(f"count must be an integer, got {show_value(raw_count)}") from None
+    count = _csv_int(raw_count, "count must be an integer")
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {show_int(count)}")
     if problem := above_max_count("count", count):

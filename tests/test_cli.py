@@ -390,7 +390,7 @@ class TestReport:
         assert len(overlays) == 1
 
     @pytest.mark.parametrize(("days", "note"), [
-        ([0, 1], "too few buckets for an arrival fit (need 3)"),
+        ([0, 1], "fit needs at least 3 buckets, got 1"),
         # Counts of 1, 2 and 4 rise to the end, so no interior peak fits.
         ([0, 2, 3, 4, 4, 5, 5], "sigma search collapsed onto the upper boundary 9; the data "
                                 "show no interior peak within the observed span"),
@@ -457,7 +457,7 @@ def _command_lines(draw) -> list[str]:
     odd values, repeats, ``--flag=value``, abbreviations, ``--`` and help."""
     command = draw(st.sampled_from([*cli._COMMANDS, "-h"]))
     # "-h" is no subcommand; it takes forecast's flags.
-    table = cli._COMMANDS.get(command, cli._COMMANDS["forecast"])[1]
+    table = cli._COMMANDS.get(command, cli._COMMANDS["forecast"])[2]
     flag = st.sampled_from(sorted(table))
     value = st.one_of(
         st.sampled_from(_ODD_VALUES), st.integers(0, 10**4).map(str), st.text(max_size=3)
@@ -592,7 +592,7 @@ class TestCollectorPause:
             seen.append(gc.isenabled())
             raise RuntimeError("escapes run")
 
-        monkeypatch.setitem(cli._HANDLERS, "forecast", handler)
+        monkeypatch.setitem(cli._COMMANDS, "forecast", (handler, *cli._COMMANDS["forecast"][1:]))
         gc.enable()
         with pytest.raises(RuntimeError, match="escapes run"):
             run(["forecast", "--units", "10"])

@@ -53,6 +53,10 @@ CASES = {
     "forecast table csv": (["forecast", "--units", "2000", "--table", "--format", "csv"], []),
     "estimate uf": (["estimate", "--uf", "2182"], []),
     "estimate fit": (["estimate", "--fit", "scatter.csv"], []),
+    "estimate uf linear": (["estimate", "--uf", "2182", "--model", "linear"], []),
+    "estimate uf sqrt": (["estimate", "--uf", "2182", "--model", "sqrt"], []),
+    "estimate fit linear": (["estimate", "--fit", "scatter.csv", "--model", "linear"], []),
+    "estimate fit sqrt": (["estimate", "--fit", "scatter.csv", "--model", "sqrt"], []),
     "fit-arrival": (["fit-arrival", "--series", "series.csv"], []),
     "fit-arrival out": (["fit-arrival", "--series", "series.csv", "--out", "fit.json"], ["fit.json"]),
 }
@@ -64,7 +68,9 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 #: surface, whose CLI output it must not change.  The outputs of the
 #: three fits (``report``, ``estimate --fit`` and ``fit-arrival``) were
 #: recorded anew when the fits took exactly rounded sums, which give the
-#: same bytes on every supported Python.
+#: same bytes on every supported Python.  The four single-model
+#: ``estimate`` cases were recorded before the model objects were built
+#: from ``_asdict()``.
 EXPECTED: dict[str, dict] = {
     "ingest": {
         "exit": 0,
@@ -135,6 +141,30 @@ EXPECTED: dict[str, dict] = {
     "estimate fit": {
         "exit": 0,
         "stdout": "feb7ec8999cfcdb550e4c2a37bce9cdea38ec9ca92eb3197dcc5fcf4f6be975c",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "estimate uf linear": {
+        "exit": 0,
+        "stdout": "5ea7b54c299d03561b4e7bf94f7b8c4a9e545fa00c65fa8aaa5bc5cc7eceb5c3",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "estimate uf sqrt": {
+        "exit": 0,
+        "stdout": "49229c1ad3e54c85d398537dc5185fbc5b745325afa214047c4a2220c663e8fb",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "estimate fit linear": {
+        "exit": 0,
+        "stdout": "9cc6b4d2a3d1852b43df984090db7e85f2bd8f7e77b4a9edcb9a5941ce15a978",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "estimate fit sqrt": {
+        "exit": 0,
+        "stdout": "5816381322e80d0263f4071ee07832f2f9f0a2ef91e151fa0b4c727f9fc4810c",
         "stderr": EMPTY,
         "files": {},
     },

@@ -37,7 +37,7 @@ def _readme_sections() -> dict[str, str]:
 
 def _parser_flags() -> dict[str, set[str]]:
     """The long flags of each subcommand, from the table the CLI reads them with."""
-    return {command: set(flags) for command, (_help, flags) in cli._COMMANDS.items()}
+    return {command: set(flags) for command, (_handler, _help, flags) in cli._COMMANDS.items()}
 
 
 def test_every_cli_flag_is_documented_in_its_readme_section():
