@@ -25,8 +25,6 @@ _PUBLIC = {
         "parse_defect_log",
         "parse_product_registry",
         "parse_series",
-        "serialize_defect_log",
-        "serialize_product_registry",
     ),
     "metrics": (
         "MetricsSummary",
@@ -42,7 +40,6 @@ _PUBLIC = {
         "RayleighFit",
         "expected_bucket_counts",
         "fit_arrival",
-        "projected_total_from_peak",
         "rayleigh_cdf",
         "remaining_defects",
         "time_to_threshold",

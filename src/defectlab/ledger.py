@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import TypeVar
@@ -482,20 +482,6 @@ def parse_defect_log(text: str) -> list[DefectRecord]:
     )
 
 
-def serialize_defect_log(records: Iterable[DefectRecord]) -> str:
-    """Render records back to defect-log CSV.
-
-    Parsing the output yields records equal to the input.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(DEFECT_CSV_COLUMNS)
-    for record in records:
-        entry = _record_to_dict(record)
-        writer.writerow(["" if entry[key] is None else entry[key] for key in DEFECT_CSV_COLUMNS])
-    return out.getvalue()
-
-
 def _series_row(fields: list[str]) -> tuple[float, int]:
     raw_start, raw_count = fields
     try:
@@ -573,11 +559,6 @@ def parse_product_registry(text: str) -> list[ProductProfile]:
     if diagnostics:
         raise ValidationError("product registry failed validation", diagnostics)
     return profiles
-
-
-def serialize_product_registry(profiles: Iterable[ProductProfile]) -> str:
-    """Render profiles as a product registry JSON array with fixed key order."""
-    return json.dumps([p._asdict() for p in profiles], indent=2) + "\n"
 
 
 def build_ledger(

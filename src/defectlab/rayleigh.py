@@ -155,17 +155,6 @@ def fit_arrival(counts: Sequence[float]) -> RayleighFit:
     return RayleighFit(k_total=k, sigma=sigma, sse=sse, buckets_used=len(counts))
 
 
-def projected_total_from_peak(cumulative_at_peak: float) -> float:
-    """Lifetime total implied by the count observed at peak discovery.
-
-    By t = sigma a fraction 1 - e^(-1/2) of the total has appeared, so
-    the total is the observed cumulative divided by that constant.
-    """
-    if not math.isfinite(cumulative_at_peak) or cumulative_at_peak <= 0:
-        raise ValidationError(f"cumulative_at_peak must be positive, got {cumulative_at_peak}")
-    return cumulative_at_peak / PEAK_FRACTION
-
-
 def remaining_defects(fit: RayleighFit, t: float) -> float:
     """Defects not yet discovered at time t (bucket units)."""
     return fit.k_total - rayleigh_cdf(t, fit.k_total, fit.sigma)

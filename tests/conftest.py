@@ -1,12 +1,18 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the writers that serve as
+round-trip oracles for the defect-log and product-registry parsers."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+from collections.abc import Iterable
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from defectlab import DefectRecord, ProductProfile
+from defectlab.ledger import DEFECT_CSV_COLUMNS
 
 EPOCH = datetime(2004, 3, 1, tzinfo=timezone.utc)
 
@@ -40,6 +46,32 @@ def with_fields(record: DefectRecord, **changes: object) -> DefectRecord:
     """The record with some fields changed, built by the constructor,
     which validates the result."""
     return DefectRecord(**(record._asdict() | changes))
+
+
+def _csv_cell(value: object) -> object:
+    """A record field as its defect-log cell, written without the ledger's
+    own timestamp formatting, which the round trip tests."""
+    if value is None:
+        return ""
+    if isinstance(value, datetime):
+        return value.isoformat().replace("+00:00", "Z")
+    return value
+
+
+def serialize_defect_log(records: Iterable[DefectRecord]) -> str:
+    """Records as defect-log CSV; ``parse_defect_log`` reads back equal records."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(DEFECT_CSV_COLUMNS)
+    for record in records:
+        writer.writerow([_csv_cell(getattr(record, column)) for column in DEFECT_CSV_COLUMNS])
+    return out.getvalue()
+
+
+def serialize_product_registry(profiles: Iterable[ProductProfile]) -> str:
+    """Profiles as a product registry JSON array, keys in field order;
+    ``parse_product_registry`` reads back equal profiles."""
+    return json.dumps([p._asdict() for p in profiles], indent=2) + "\n"
 
 
 @pytest.fixture

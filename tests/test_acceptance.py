@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import EPOCH, make_record
+from conftest import EPOCH, make_record, serialize_defect_log
 import defectlab
 from defectlab import (
     ProcessParams,
@@ -33,7 +33,6 @@ from defectlab import (
     rayleigh_cdf,
     revision_table,
     revisions_to_signoff,
-    serialize_defect_log,
     simulate_monte_carlo,
     sqrt_estimate,
 )

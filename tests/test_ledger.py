@@ -8,12 +8,19 @@ import json
 import pickle
 import string
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EPOCH, make_record, with_fields
+from conftest import (
+    EPOCH,
+    make_record,
+    serialize_defect_log,
+    serialize_product_registry,
+    with_fields,
+)
 from defectlab import (
     DefectRecord,
     ProductProfile,
@@ -23,8 +30,6 @@ from defectlab import (
     load_ledger,
     parse_defect_log,
     parse_product_registry,
-    serialize_defect_log,
-    serialize_product_registry,
 )
 from defectlab.errors import MAX_COUNT
 from defectlab.ledger import (
@@ -37,6 +42,8 @@ from defectlab.ledger import (
 )
 
 HEADER = "id,product_id,phase_injected,phase_found,found_at,fixed_at,severity,status,fix_changes"
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 class TestTimestamps:
@@ -214,6 +221,12 @@ class TestRoundTrip:
         record = make_record(rid="d,1")
         assert parse_defect_log(serialize_defect_log([record])) == [record]
 
+    def test_the_oracle_writes_the_golden_log_back_line_for_line(self):
+        # The round trip tests the parser on the oracle's format, so that
+        # format must be the one real defect logs use.
+        text = (GOLDEN / "defects.csv").read_text(encoding="utf-8")
+        assert serialize_defect_log(parse_defect_log(text)).splitlines() == text.splitlines()
+
 
 class TestProductRegistry:
     def test_single_profile(self):
@@ -265,6 +278,10 @@ class TestProductRegistry:
             ProductProfile(product_id="m2", kloc=3.5, function_points=40, description="x"),
         ]
         assert parse_product_registry(serialize_product_registry(profiles)) == profiles
+
+    def test_the_oracle_writes_the_golden_registry_back_byte_for_byte(self):
+        text = (GOLDEN / "products.json").read_text(encoding="utf-8")
+        assert serialize_product_registry(parse_product_registry(text)) == text
 
     @pytest.mark.parametrize("size", ["unique_formulas", "kloc", "function_points"])
     def test_integer_size_beyond_float_range_rejected(self, size):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import with_fields
+from conftest import serialize_product_registry, with_fields
 from defectlab import (
     DefectRecord,
     ProductProfile,
@@ -27,7 +27,6 @@ from defectlab import (
     load_ledger,
     parse_defect_log,
     parse_product_registry,
-    serialize_product_registry,
 )
 from defectlab.cli import EXIT_OK, EXIT_VALIDATION, run
 from defectlab.errors import MAX_COUNT, show_value

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
+import sys
+import types
 from pathlib import Path
 
 import defectlab
 from defectlab import cli
+from test_golden import run_all
+
+#: The public functions that no command calls, as the README lists them.
+LIBRARY_ONLY = {"infer_efficiency", "rayleigh_cdf", "remaining_defects", "time_to_threshold"}
+
+#: The one command path the golden cases leave out, because its output
+#: depends on numpy's generator.
+MONTE_CARLO = ["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
+               "--monte-carlo", "--trials", "100", "--seed", "1"]
 
 
 def test_every_exported_name_resolves_once():
@@ -18,14 +31,57 @@ def test_every_exported_name_resolves_once():
     assert set(names) <= set(namespace)
 
 
-def test_every_exported_name_is_listed_in_the_readme():
+def _readme_library() -> str:
+    """The README's "Library" section."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_exported_name_is_listed_in_the_readme():
+    library = _readme_library()
     # A name counts when a backticked span starts with it, as in `run` or
     # `fit_arrival(counts)`.
     spans = re.findall(r"`([^`\n]+)`", library)
     listed = {re.match(r"\w*", span).group() for span in spans}
     assert [name for name in defectlab.__all__ if name not in listed] == []
+
+
+def _called_code(workdir: Path) -> set[types.CodeType]:
+    """The package's code objects that every golden command, and a Monte
+    Carlo forecast, call when run in ``workdir``."""
+    package = str(Path(defectlab.__file__).parent)
+    called: set[types.CodeType] = set()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_all(workdir)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(MONTE_CARLO)
+    finally:
+        sys.setprofile(previous)
+    assert code == cli.EXIT_OK
+    return called
+
+
+def test_the_public_functions_no_command_calls_are_the_library_only_ones(tmp_path):
+    called = _called_code(tmp_path)
+    functions = {
+        name: value for name in defectlab.__all__
+        if isinstance(value := getattr(defectlab, name), types.FunctionType)
+    }
+    assert {name for name, f in functions.items() if f.__code__ not in called} == LIBRARY_ONLY
+
+
+def test_the_readme_lists_exactly_the_library_only_functions():
+    bullets = _readme_library().split("library-only names", 1)[1].split("\n- ")[1:]
+    # A bullet names its functions before its first colon.
+    listed = {name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet.split(":", 1)[0])}
+    assert listed == LIBRARY_ONLY
 
 
 def _readme_sections() -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""Rayleigh arrival model: cdf, fitting, projection, readiness."""
+"""Rayleigh arrival model: cdf, fitting, readiness."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from defectlab import (
     ValidationError,
     expected_bucket_counts,
     fit_arrival,
-    projected_total_from_peak,
     rayleigh_cdf,
     remaining_defects,
     time_to_threshold,
@@ -30,6 +29,7 @@ class TestCdf:
         ratio = rayleigh_cdf(4.0, 200.0, 4.0) / 200.0
         assert ratio == pytest.approx(1.0 - math.exp(-0.5), abs=1e-9)
         assert ratio == pytest.approx(0.393469, abs=1e-6)
+        assert PEAK_FRACTION == pytest.approx(rayleigh_cdf(4.0, 1.0, 4.0), rel=1e-12)
 
     def test_saturates_at_k_total(self):
         assert rayleigh_cdf(40.0, 200.0, 4.0) == pytest.approx(200.0, rel=1e-9)
@@ -180,23 +180,6 @@ class TestFitType:
         with pytest.raises(ValidationError) as caught:
             RayleighFit(k_total=1.0, sigma=1.0, sse=-1.0, buckets_used=3)
         assert str(caught.value) == "invalid arrival fit\n  sse must be >= 0, got -1.0"
-
-
-class TestProjection:
-    def test_eighty_at_peak_projects_203(self):
-        assert projected_total_from_peak(80.0) == pytest.approx(203.3195266, abs=1e-6)
-
-    def test_peak_fraction_projects_to_one(self):
-        assert projected_total_from_peak(PEAK_FRACTION) == pytest.approx(1.0, rel=1e-12)
-
-    def test_audit_average_at_peak(self):
-        assert projected_total_from_peak(151.0) == pytest.approx(
-            383.76560646305654, abs=1e-9
-        )
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
-            projected_total_from_peak(0.0)
 
 
 class TestReadiness:
