@@ -13,23 +13,6 @@ from collections.abc import Callable, Sequence
 
 from .errors import ValidationError, Value, above_max_count, show_int, show_value
 
-#: Intercept of the default linear model, in issues.
-DEFAULT_LINEAR_INTERCEPT = 62.0
-
-#: Slope of the default linear model.  Forced by the regression line
-#: passing through the sample means: (151 - 62) / 2182 = 0.0408.
-DERIVED_LINEAR_SLOPE = 0.0408
-
-#: The slope printed alongside the published audit is 0.41, which is
-#: inconsistent with that audit's own averages (it would predict about
-#: 957 issues for the average 2,182-formula model against a reported
-#: 151).  Treated as a typographic slip and kept only as a named
-#: constant; the default model uses the derived slope above.
-PUBLISHED_LINEAR_SLOPE = 0.41
-
-#: Coefficient of the default square-root model.
-DEFAULT_SQRT_COEFFICIENT = 2.6
-
 
 class NegativeInterceptWarning(UserWarning):
     """A fitted line predicts negative issues for small models.
@@ -76,10 +59,14 @@ class SizePoint(Value):
             raise ValidationError(problem)
 
 
-DEFAULT_LINEAR_MODEL = LinearSizeModel(
-    intercept=DEFAULT_LINEAR_INTERCEPT, slope=DERIVED_LINEAR_SLOPE
-)
-DEFAULT_SQRT_MODEL = SqrtSizeModel(coefficient=DEFAULT_SQRT_COEFFICIENT)
+#: The audit's line and curve.  The line's slope is forced by the line
+#: passing through the sample means: (151 - 62) / 2182 = 0.0408.  The
+#: slope printed alongside the audit, 0.41, is inconsistent with the
+#: audit's own averages (it would predict about 957 issues for the
+#: average 2,182-formula model against a reported 151), so it is treated
+#: as a typographic slip.
+DEFAULT_LINEAR_MODEL = LinearSizeModel(intercept=62.0, slope=0.0408)
+DEFAULT_SQRT_MODEL = SqrtSizeModel(coefficient=2.6)
 
 
 def _check_uf(uf: int) -> None:

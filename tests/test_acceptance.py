@@ -98,20 +98,19 @@ def test_criterion_3_reference_grid_agreement():
         "the grid's JSON compares all 72 cells"
     ):
         grid = revision_table(2000)
+        rows = dict(zip(DEFAULT_REMOVAL_EFFICIENCIES, zip(grid.cells, PUBLISHED_REVISIONS)))
         exact = 0
-        for dre_pct in (80, 100):
-            row = grid.cells[DEFAULT_REMOVAL_EFFICIENCIES.index(dre_pct / 100)]
-            for dir_rate, model in zip(DEFAULT_INJECTION_RATES, row):
-                published = PUBLISHED_REVISIONS[(dre_pct, round(dir_rate * 100))]
+        for dre in (0.80, 1.00):
+            row, published_row = rows[dre]
+            for dir_rate, model, published in zip(DEFAULT_INJECTION_RATES, row, published_row):
                 assert abs(model - published) <= 1, (
-                    f"{dre_pct}%/{dir_rate:.0%}: model {model} vs published {published}"
+                    f"{dre:.0%}/{dir_rate:.0%}: model {model} vs published {published}"
                 )
                 exact += model == published
         assert exact >= 12, f"only {exact}/16 high-efficiency cells exact"
 
-        row_60 = grid.cells[DEFAULT_REMOVAL_EFFICIENCIES.index(0.60)]
-        for dir_rate, model in zip(DEFAULT_INJECTION_RATES, row_60):
-            published = PUBLISHED_REVISIONS[(60, round(dir_rate * 100))]
+        row_60, published_60 = rows[0.60]
+        for model, published in zip(row_60, published_60):
             assert abs(model - published) <= 1
 
         cells = json.loads(grid_to_json(grid))["cells"]

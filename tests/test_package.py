@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import re
@@ -82,6 +83,42 @@ def test_the_readme_lists_exactly_the_library_only_functions():
     # A bullet names its functions before its first colon.
     listed = {name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet.split(":", 1)[0])}
     assert listed == LIBRARY_ONLY
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level: assignments, functions
+    and classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attributes and the names
+    it imports from other modules."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_module_level_name_in_src_is_read_or_public():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(defectlab.__file__).parent.glob("*.py")]
+    read = set().union(*map(_read_names, trees)) | set(defectlab.__all__)
+    defined = set().union(*map(_module_level_names, trees))
+    unread = {name for name in defined - read if not name.startswith("__")}
+    assert unread == set()
 
 
 def _readme_sections() -> dict[str, str]:

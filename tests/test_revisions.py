@@ -278,6 +278,12 @@ class TestRevisionTable:
         assert len(grid.cells) == len(DEFAULT_REMOVAL_EFFICIENCIES) == 9
         assert all(len(row) == 8 for row in grid.cells)
 
+    def test_published_table_has_the_grid_shape(self):
+        grid = RevisionGrid(
+            units=PUBLISHED_GRID_UNITS, threshold=SIGNOFF_THRESHOLD, cells=PUBLISHED_REVISIONS
+        )
+        assert grid.cells == PUBLISHED_REVISIONS
+
     def test_perfect_efficiency_row(self):
         grid = revision_table(2000)
         assert grid.cells[-1][:7] == (3, 3, 3, 4, 4, 5, 6)
@@ -287,7 +293,7 @@ class TestRevisionTable:
         # the published grid printed 8; its whole row is within one.
         grid = revision_table(2000)
         assert grid.cells[-1][-1] == 7
-        assert PUBLISHED_REVISIONS[(100, 30)] == 8
+        assert PUBLISHED_REVISIONS[-1][-1] == 8
 
     def test_cells_match_scalar_forecasts(self):
         grid = revision_table(500)
@@ -328,13 +334,15 @@ class TestGridSerialization:
         rates = [(dre, dir_) for dre in DEFAULT_REMOVAL_EFFICIENCIES
                  for dir_ in DEFAULT_INJECTION_RATES]
         counts = [count for row in grid.cells for count in row]
-        for cell, (dre, dir_), count in zip(payload["cells"], rates, counts, strict=True):
+        published_counts = [count for row in PUBLISHED_REVISIONS for count in row]
+        for cell, (dre, dir_), count, published in zip(
+            payload["cells"], rates, counts, published_counts, strict=True
+        ):
             assert (cell["removal_efficiency"], cell["injection_rate"]) == (dre, dir_)
             assert cell["revisions"] == count
             assert len(cell["trajectory"]) == cell["revisions"]
             assert cell["trajectory"][0] == units * dir_
             if units == PUBLISHED_GRID_UNITS:
-                published = PUBLISHED_REVISIONS[round(dre * 100), round(dir_ * 100)]
                 assert (cell["published"], cell["delta"]) == (published, count - published)
             else:
                 assert cell["published"] is None and cell["delta"] is None

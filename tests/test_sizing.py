@@ -23,13 +23,7 @@ from defectlab import (
     sqrt_estimate,
 )
 from defectlab.errors import MAX_COUNT
-from defectlab.sizing import (
-    DEFAULT_LINEAR_INTERCEPT,
-    DEFAULT_LINEAR_MODEL,
-    DEFAULT_SQRT_COEFFICIENT,
-    DERIVED_LINEAR_SLOPE,
-    PUBLISHED_LINEAR_SLOPE,
-)
+from defectlab.sizing import DEFAULT_LINEAR_MODEL, DEFAULT_SQRT_MODEL
 
 
 class TestEstimates:
@@ -50,12 +44,13 @@ class TestEstimates:
         assert sqrt_estimate(16, model) == 12.0
 
     def test_default_constants_are_wired_in(self):
-        assert DEFAULT_LINEAR_MODEL.intercept == DEFAULT_LINEAR_INTERCEPT
-        assert DEFAULT_LINEAR_MODEL.slope == DERIVED_LINEAR_SLOPE
-        # The slope as printed alongside the audit is wildly inconsistent
-        # with the audit's own averages; with it, the average-sized model
-        # would be predicted to hold ~957 issues instead of ~151.
-        bad = DEFAULT_LINEAR_INTERCEPT + PUBLISHED_LINEAR_SLOPE * 2182
+        assert DEFAULT_LINEAR_MODEL == LinearSizeModel(intercept=62.0, slope=0.0408)
+        assert DEFAULT_SQRT_MODEL == SqrtSizeModel(coefficient=2.6)
+        # The slope as printed alongside the audit, 0.41, is wildly
+        # inconsistent with the audit's own averages; with it, the
+        # average-sized model would be predicted to hold ~957 issues
+        # instead of ~151.
+        bad = 62.0 + 0.41 * 2182
         assert bad == pytest.approx(956.62)
         assert abs(bad - 151) > 500
 
@@ -193,7 +188,7 @@ class TestFitSqrt:
 
     def test_default_coefficient_close_to_single_point_refit(self):
         refit = fit_sqrt([SizePoint(uf=2182, issues=151)])
-        assert refit.coefficient == pytest.approx(DEFAULT_SQRT_COEFFICIENT, abs=0.7)
+        assert refit.coefficient == pytest.approx(DEFAULT_SQRT_MODEL.coefficient, abs=0.7)
 
 
 class TestResiduals:
