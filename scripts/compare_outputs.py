@@ -4,11 +4,12 @@
 
 For each row count, ``perfbench/gen.py --seed 1`` writes the inputs
 once.  Then every command kind of ``perfbench/run.py``'s ``script()``,
-followed by the CSV forms of ``metrics`` and ``forecast --table``,
-runs as ``python -m defectlab`` in PARENT, in order, and again in
-CHANGE, each with that checkout's ``src`` on ``PYTHONPATH``.  Both sides
-read the same input paths and write to the same output paths, since
-``ingest`` and ``report`` print them.  The exit code, stdout and stderr
+followed by the CSV forms of ``metrics`` and ``forecast --table`` and
+by ``report --product p07 --bucket-days 1``, runs as ``python -m
+defectlab`` in PARENT, in order, and again in CHANGE, each with that
+checkout's ``src`` on ``PYTHONPATH``.  Both sides read the same input
+paths and write to the same output paths, since ``ingest`` and
+``report`` print them.  The exit code, stdout and stderr
 of each command and every file the commands wrote are compared byte for
 byte.  Each difference is printed; the exit code is 1 if there is any,
 else 0.  The generator and the command script come from the checkout
@@ -89,13 +90,18 @@ def compare(parent: Path, change: Path, rows: int, work: Path) -> list[str]:
     )
     commands = runner.script(runner.Workload(rows=rows, mc_trials=MC_TRIALS), inputs, outputs,
                              SEED)
-    # The benchmark runs both commands in their JSON form only; the
-    # ledger is the one its ``ingest`` wrote.
+    # The benchmark runs the first two commands in their JSON form only,
+    # and ``report`` only over all products at 7-day buckets, where the
+    # overlay has a few dozen points.  The ledger is the one its
+    # ``ingest`` wrote.
+    ledger = f"{outputs}/ledger.json"
     commands += [
-        runner.Command("metrics_csv",
-                       ("metrics", "--ledger", f"{outputs}/ledger.json", "--format", "csv"), 0),
+        runner.Command("metrics_csv", ("metrics", "--ledger", ledger, "--format", "csv"), 0),
         runner.Command("forecast_table_csv",
                        ("forecast", "--units", "2000", "--table", "--format", "csv"), 0),
+        runner.Command("report_p07_daily",
+                       ("report", "--ledger", ledger, "--svg", f"{outputs}/p07.svg",
+                        "--product", "p07", "--bucket-days", "1"), 0),
     ]
     return differences(run_side(parent, commands, outputs), run_side(change, commands, outputs))
 

@@ -67,18 +67,14 @@ def _unit_curve(sigma: float, times: Iterable[float]) -> list[float]:
     return [-math.expm1(-(t * t) / scale) for t in times]
 
 
-def _check_curve(k_total: float, sigma: float) -> None:
-    if not math.isfinite(sigma) or sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if not math.isfinite(k_total) or k_total <= 0:
-        raise ValidationError(f"k_total must be positive, got {k_total}")
-
-
 def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
     """Cumulative defects discovered by time t."""
     if not math.isfinite(t) or t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
-    _check_curve(k_total, sigma)
+    if not math.isfinite(sigma) or sigma <= 0:
+        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(k_total) or k_total <= 0:
+        raise ValidationError(f"k_total must be positive, got {k_total}")
     return k_total * _unit_curve(sigma, (t,))[0]
 
 
@@ -86,8 +82,7 @@ def expected_bucket_counts(k_total: float, sigma: float, buckets: int) -> list[f
     """Per-bucket expected discoveries implied by the model."""
     if buckets < 1:
         raise ValidationError(f"buckets must be >= 1, got {show_int(buckets)}")
-    _check_curve(k_total, sigma)
-    edges = [k_total * g for g in _unit_curve(sigma, map(float, range(buckets + 1)))]
+    edges = [rayleigh_cdf(float(t), k_total, sigma) for t in range(buckets + 1)]
     return [b - a for a, b in zip(edges, edges[1:])]
 
 

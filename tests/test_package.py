@@ -15,7 +15,7 @@ from defectlab import cli
 from test_golden import run_all
 
 #: The public functions that no command calls, as the README lists them.
-LIBRARY_ONLY = {"infer_efficiency", "rayleigh_cdf", "remaining_defects", "time_to_threshold"}
+LIBRARY_ONLY = {"infer_efficiency", "remaining_defects", "time_to_threshold"}
 
 #: The one command path the golden cases leave out, because its output
 #: depends on numpy's generator.

@@ -51,6 +51,7 @@ class TestCdf:
         (1.0, math.inf, 4.0, "k_total must be positive, got inf"),
         (math.nan, 200.0, 4.0, "t must be >= 0, got nan"),
         (math.inf, 200.0, 4.0, "t must be >= 0, got inf"),
+        (1.0, math.nan, math.nan, "sigma must be positive, got nan"),
     ])
     def test_non_finite_arguments_rejected(self, t, k_total, sigma, message):
         with pytest.raises(ValidationError) as caught:
@@ -90,6 +91,7 @@ class TestExpectedBucketCounts:
         (math.inf, 4.0, "k_total must be positive, got inf"),
         (50.0, math.nan, "sigma must be positive, got nan"),
         (50.0, math.inf, "sigma must be positive, got inf"),
+        (math.nan, math.nan, "sigma must be positive, got nan"),
     ])
     def test_non_finite_parameters_rejected(self, k_total, sigma, message):
         with pytest.raises(ValidationError) as caught:
