@@ -12,7 +12,8 @@ the copy's directory, twice.  Each run must exit with a code from 0 to
 and none if it is 0, print no traceback, and print strict JSON on
 stdout if it exits 0; the second run must give the same code, stdout,
 stderr and written files.  Each breach is printed; the exit code is 1
-if there is any, else 0.
+if there is any, else 0.  ``mutate`` yields what each run gave, which
+``compare_mutations.py`` compares between two checkouts.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import tempfile
 import traceback
 import warnings
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,9 +201,12 @@ def _breaches(code, stdout: str, stderr: str) -> list[str]:
     return found
 
 
-def check(seed: int, count: int, work: Path) -> tuple[list[str], Counter[tuple[str, str]]]:
-    """Run ``count`` mutations from ``seed`` in ``work``: one line per
-    breach, and how many mutations each (input, kind) pair had."""
+def mutate(seed: int, count: int, work: Path) -> Iterator[tuple[str, str, list[tuple]]]:
+    """Run ``count`` mutations from ``seed`` in ``work``, and yield each
+    one's input, its kind of damage, and its runs: for each command that
+    reads the input, a label and what its two runs gave, each as the exit
+    code, stdout, stderr and written files.  The runs are made from
+    ``work`` before each yield."""
     clean = {path.name: path.read_bytes() for path in sorted(GOLDEN.iterdir())}
     before = os.getcwd()
     work.mkdir(parents=True, exist_ok=True)
@@ -216,22 +221,31 @@ def check(seed: int, count: int, work: Path) -> tuple[list[str], Counter[tuple[s
         clean["ledger.json"] = Path("ledger.json").read_bytes()
 
         rng = random.Random(seed)
-        breaches: list[str] = []
-        tally: Counter[tuple[str, str]] = Counter()
         for number in range(count):
             target = rng.choice(sorted(COMMANDS))
             kind = rng.choice(KINDS)
-            tally[target, kind.__name__] += 1
             for name, data in clean.items():
                 Path(name).write_bytes(kind(data, rng) if name == target else data)
-            for argv, written in COMMANDS[target]:
-                first = _run(argv, written)
-                label = f"mutation {number} ({kind.__name__} of {target}): {' '.join(argv)}"
-                breaches += [f"{label}: {b}" for b in _breaches(*first[:3])]
-                if _run(argv, written) != first:
-                    breaches.append(f"{label}: a second run differs")
+            yield target, kind.__name__, [
+                (f"mutation {number} ({kind.__name__} of {target}): {' '.join(argv)}",
+                 _run(argv, written), _run(argv, written))
+                for argv, written in COMMANDS[target]
+            ]
     finally:
         os.chdir(before)
+
+
+def check(seed: int, count: int, work: Path) -> tuple[list[str], Counter[tuple[str, str]]]:
+    """Run ``count`` mutations from ``seed`` in ``work``: one line per
+    breach, and how many mutations each (input, kind) pair had."""
+    breaches: list[str] = []
+    tally: Counter[tuple[str, str]] = Counter()
+    for target, kind, runs in mutate(seed, count, work):
+        tally[target, kind] += 1
+        for label, first, second in runs:
+            breaches += [f"{label}: {b}" for b in _breaches(*first[:3])]
+            if second != first:
+                breaches.append(f"{label}: a second run differs")
     return breaches, tally
 
 

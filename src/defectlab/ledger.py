@@ -73,26 +73,23 @@ def parse_timestamp(text: str) -> datetime:
     timestamps and non-UTC offsets are rejected so that records from
     different sources always compare on the same clock.
 
-    The text first goes to ``datetime.fromisoformat`` as it stands,
-    which reads ``Z`` itself, and a UTC result is returned at once.
-    Everything else (surrounding whitespace, a lowercase ``z``, and a
-    rejected or non-UTC stamp) takes the path below, which strips and
-    normalises the text first.  Both paths give the same result or message.
+    The text goes to ``datetime.fromisoformat`` as it stands, which reads
+    ``Z`` itself.  Only text it refuses, such as one with surrounding
+    whitespace or a lowercase ``z``, is stripped, normalised and parsed
+    again.  A NUL, where ``fromisoformat`` stops reading, is refused.
     """
     try:
         stamp = datetime.fromisoformat(text)
     except (TypeError, ValueError):
-        pass
-    else:
-        if stamp.tzinfo is _UTC:
-            return stamp
-    raw = text.strip()
-    normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
-    try:
-        stamp = datetime.fromisoformat(normalised)
-    except ValueError:
-        raise ValidationError(f"invalid timestamp {show_value(text)}") from None
-    if stamp.tzinfo is timezone.utc:
+        raw = text.strip()
+        normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
+        try:
+            stamp = datetime.fromisoformat(normalised)
+        except ValueError:
+            raise ValidationError(f"invalid timestamp {show_value(text)}") from None
+    if "\x00" in text:
+        raise ValidationError(f"invalid timestamp {show_value(text)}")
+    if stamp.tzinfo is _UTC:
         return stamp
     if stamp.tzinfo is None:
         raise ValidationError(f"timestamp {show_value(text)} must carry a UTC offset")
@@ -106,11 +103,6 @@ def format_timestamp(stamp: datetime) -> str:
         stamp = stamp.astimezone(timezone.utc)
     # The naive parts format quicker than the aware stamp and its offset.
     return f"{stamp.date().isoformat()}T{stamp.time().isoformat()}Z"
-
-
-def _is_utc(stamp: datetime) -> bool:
-    zone = stamp.tzinfo
-    return zone is timezone.utc or (zone is not None and stamp.utcoffset() == _ZERO)
 
 
 class DefectRecord(Value):
@@ -193,7 +185,7 @@ class DefectRecord(Value):
             problems.append(f"unknown phase_found {show_value(phase_found)}")
         elif found is _UNKNOWN:
             problems.append("phase_found may not be 'unknown'")
-        found_utc = found_at.tzinfo is _UTC or _is_utc(found_at)
+        found_utc = found_at.tzinfo is _UTC or found_at.utcoffset() == _ZERO
         if not found_utc:
             problems.append("found_at must be a UTC timestamp")
         lo, hi = SEVERITY_RANGE
@@ -207,7 +199,7 @@ class DefectRecord(Value):
                 f"fixed_at {'present' if fixed_at else 'absent'}"
             )
         if fixed_at is not None:
-            if fixed_at.tzinfo is not _UTC and not _is_utc(fixed_at):
+            if fixed_at.tzinfo is not _UTC and fixed_at.utcoffset() != _ZERO:
                 problems.append("fixed_at must be a UTC timestamp")
             elif found_utc and fixed_at < found_at:
                 problems.append(

@@ -87,6 +87,22 @@ class TestIngest:
         assert not out.exists()
         assert "row 1" in capsys.readouterr().err
 
+    def test_a_nul_in_a_timestamp_leaves_no_output_file(self, tmp_path, capsys):
+        defects = tmp_path / "defects.csv"
+        defects.write_text(_defect_csv(["d1,m1,build,test,2004-03-01T10:00:00Z\0junk,,2,open,"]))
+        products = tmp_path / "products.json"
+        products.write_text('[{"product_id":"m1","unique_formulas":10}]')
+        out = tmp_path / "ledger.json"
+        code = run([
+            "ingest", "--defects", str(defects), "--products", str(products),
+            "--out", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        assert "  row 1: invalid timestamp '2004-03-01T10:00:00Z\\x00junk'\n" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_input_is_an_io_error(self, tmp_path, capsys):
         code = run([
             "ingest", "--defects", str(tmp_path / "nope.csv"),

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
 import pickle
 import string
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from defectlab import (
     ValidationError,
     arrival_series,
     dump_ledger,
+    ledger,
     load_ledger,
     parse_defect_log,
     parse_product_registry,
@@ -63,6 +65,30 @@ class TestTimestamps:
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError, match="invalid timestamp"):
             parse_timestamp("yesterday-ish")
+
+    @pytest.mark.parametrize("text", ["2004-03-01T10:00:00Z\x00junk", "2004-03-01T10:00:00\x00Z"])
+    def test_text_holding_a_nul_rejected(self, text):
+        # fromisoformat stops reading at a NUL, so it would hide what follows.
+        with pytest.raises(ValidationError) as caught:
+            parse_timestamp(text)
+        assert str(caught.value) == f"invalid timestamp {text!r}"
+
+    @pytest.mark.parametrize("text", [
+        "2004-03-01T10:00:00Z", "2004-03-01T10:00:00+02:00", "2004-03-01T10:00:00",
+    ])
+    def test_text_that_parses_as_it_stands_is_parsed_once(self, text, monkeypatch):
+        calls = []
+
+        class Counting(datetime):
+            @classmethod
+            def fromisoformat(cls, value):
+                calls.append(value)
+                return datetime.fromisoformat(value)
+
+        monkeypatch.setattr(ledger, "datetime", Counting)
+        with contextlib.suppress(ValidationError):
+            parse_timestamp(text)
+        assert calls == [text]
 
     def test_format_round_trips(self):
         stamp = datetime(2010, 6, 5, 4, 3, 2, 123456, tzinfo=timezone.utc)
@@ -418,9 +444,12 @@ class TestParseSeries:
         ("2004-03-01T00:00:00Z,1\n2004-03-01T00:00:00.001Z,2\n2004-03-01T00:00:00.050Z,3\n",
          "bucket spacing is not uniform: gap after row 2 is 5.6713e-07 days, "
          "expected 1.15724e-08"),
+        ("2004-03-01T00:00:00Z\x00,1\n",
+         "series file failed validation\n"
+         "  row 1: invalid timestamp '2004-03-01T00:00:00Z\\x00'"),
     ], ids=["non-finite start", "negative count", "no data rows", "repeated start",
             "decreasing starts", "wider than a timedelta", "uneven sub-day offsets",
-            "uneven millisecond stamps"])
+            "uneven millisecond stamps", "start ending in a NUL"])
     def test_rejected(self, body, message):
         with pytest.raises(ValidationError) as caught:
             parse_series(SERIES_HEADER + body)
@@ -506,6 +535,13 @@ class TestLedgerDocument:
         assert str(caught.value) == message
 
 
+class _NoOffset(tzinfo):
+    """A zone that gives no offset, so a stamp in it is as naive as one without."""
+
+    def utcoffset(self, dt):
+        return None
+
+
 class TestDefectRecordContract:
     """The frozen, slotted value contract that callers rely on."""
 
@@ -552,13 +588,21 @@ class TestDefectRecordContract:
             with_fields(record, severity=9)
 
     @pytest.mark.parametrize("field", ["found_at", "fixed_at"])
-    @pytest.mark.parametrize("zone", [None, timezone(timedelta(hours=2))], ids=["naive", "+02:00"])
+    @pytest.mark.parametrize("zone", [None, timezone(timedelta(hours=2)), _NoOffset()],
+                             ids=["naive", "+02:00", "no offset"])
     def test_timestamps_must_be_utc(self, field, zone):
         record = make_record(fixed_offset_h=5)
         stamp = getattr(record, field).replace(tzinfo=zone)
         with pytest.raises(ValidationError) as caught:
             with_fields(record, **{field: stamp})
         assert str(caught.value) == f"invalid defect record 'd1'\n  {field} must be a UTC timestamp"
+
+    @pytest.mark.parametrize("field", ["found_at", "fixed_at"])
+    def test_a_zero_offset_zone_is_kept_as_given(self, field):
+        record = make_record(fixed_offset_h=5)
+        zone = timezone(timedelta(0), "UTC")
+        stamp = getattr(record, field).replace(tzinfo=zone)
+        assert getattr(with_fields(record, **{field: stamp}), field).tzinfo is zone
 
     def test_phases_and_statuses_are_strings(self):
         assert list(PHASES) == [

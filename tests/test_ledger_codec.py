@@ -94,6 +94,11 @@ PARITY_CASES = {
         ("defects[0]: timestamp '2004-03-01T10:00:00' must carry a UTC offset",),
         ("row 1: timestamp '2004-03-01T10:00:00' must carry a UTC offset",),
     ),
+    "NUL after the Z": (
+        {"found_at": "2004-03-01T10:00:00Z\x00junk"},
+        ("defects[0]: invalid timestamp '2004-03-01T10:00:00Z\\x00junk'",),
+        ("row 1: invalid timestamp '2004-03-01T10:00:00Z\\x00junk'",),
+    ),
     "+00:00 suffix": ({"found_at": "2004-03-01T10:00:00+00:00"}, None, None),
     "lowercase z suffix": ({"found_at": "2004-03-01T10:00:00z"}, None, None),
     "missing key": (
@@ -268,13 +273,16 @@ _ZERO = timedelta(0)
 def _reference_parse_timestamp(text: str) -> datetime:
     """``parse_timestamp`` as it was before it tried ``fromisoformat`` on
     the raw text first: the reference for its results and messages, which
-    show the text as every decoder message does."""
+    show the text as every decoder message does.  Text that holds a NUL,
+    where ``fromisoformat`` stops reading, is invalid."""
     raw = text.strip()
     normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
         stamp = datetime.fromisoformat(normalised)
     except ValueError:
         raise ValidationError(f"invalid timestamp {show_value(text)}") from None
+    if "\x00" in text:
+        raise ValidationError(f"invalid timestamp {show_value(text)}")
     if stamp.tzinfo is timezone.utc:
         return stamp
     if stamp.tzinfo is None:
