@@ -11,11 +11,19 @@ from collections.abc import Sequence
 MAX_COUNT = 2**53
 
 
-def above_max_count(name: str, value: int) -> str | None:
-    """The problem with a count above MAX_COUNT, or None if it is within."""
-    if value <= MAX_COUNT:
-        return None
-    return f"{name} must be <= {MAX_COUNT}, got {show_int(value)}"
+def count_problem(name: str, value: int, least: int = 0) -> str | None:
+    """The problem with a count outside ``least..MAX_COUNT``, as NaN is, or None."""
+    if value < least:
+        return f"{name} must be >= {least}, got {show_int(value)}"
+    if not value <= MAX_COUNT:
+        return f"{name} must be <= {MAX_COUNT}, got {show_int(value)}"
+    return None
+
+
+def check_fraction(name: str, value: float, problems: list[str]) -> None:
+    """Add a problem unless ``value`` is within [0, 1], which no NaN is."""
+    if not 0.0 <= value <= 1.0:
+        problems.append(f"{name} must be within [0, 1], got {show_int(value)}")
 
 
 def show_int(value: int) -> str:

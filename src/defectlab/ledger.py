@@ -23,7 +23,7 @@ from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import MAX_COUNT, ValidationError, Value, above_max_count, cut, show_int, show_value
+from .errors import MAX_COUNT, ValidationError, Value, count_problem, cut, show_int, show_value
 
 T = TypeVar("T")
 
@@ -76,7 +76,9 @@ def parse_timestamp(text: str) -> datetime:
     The text goes to ``datetime.fromisoformat`` as it stands, which reads
     ``Z`` itself.  Only text it refuses, such as one with surrounding
     whitespace or a lowercase ``z``, is stripped, normalised and parsed
-    again.  A NUL, where ``fromisoformat`` stops reading, is refused.
+    again.  Refused as well are a NUL, where ``fromisoformat`` stops
+    reading, and a zone that does not follow a digit of the time, since
+    ``fromisoformat`` skips one stray character there.
     """
     try:
         stamp = datetime.fromisoformat(text)
@@ -87,11 +89,18 @@ def parse_timestamp(text: str) -> datetime:
             stamp = datetime.fromisoformat(normalised)
         except ValueError:
             raise ValidationError(f"invalid timestamp {show_value(text)}") from None
-    if "\x00" in text:
-        raise ValidationError(f"invalid timestamp {show_value(text)}")
-    if stamp.tzinfo is _UTC:
+    zone = stamp.tzinfo
+    if zone is _UTC and text[-1] == "Z" and text[-2] in "0123456789" and "\x00" not in text:
         return stamp
-    if stamp.tzinfo is None:
+    # Short of its offset's digits and separators, an aware stamp ends in
+    # the zone's Z or sign, which must follow a digit of the time.
+    if "\x00" in text or zone is not None and (
+        text.strip().rstrip("0123456789:.,")[-2] not in "0123456789"
+    ):
+        raise ValidationError(f"invalid timestamp {show_value(text)}")
+    if zone is _UTC:
+        return stamp
+    if zone is None:
         raise ValidationError(f"timestamp {show_value(text)} must carry a UTC offset")
     # fromisoformat gives the timezone.utc singleton for every zero offset.
     raise ValidationError(f"timestamp {show_value(text)} must be UTC, not a local offset")
@@ -207,8 +216,7 @@ class DefectRecord(Value):
                     f"found_at {format_timestamp(found_at)}"
                 )
         if fix_changes is not None and not 0 <= fix_changes <= MAX_COUNT:
-            problems.append(above_max_count("fix_changes", fix_changes)
-                            or f"fix_changes must be >= 0, got {show_int(fix_changes)}")
+            problems.append(count_problem("fix_changes", fix_changes))
         if problems:
             raise ValidationError(f"invalid defect record {show_value(id)}", problems)
 
@@ -274,7 +282,7 @@ class ProductProfile(Value):
         for name, value in sizes.items():
             if value is None:
                 continue
-            if type(value) is int and (problem := above_max_count(name, value)):
+            if type(value) is int and value > 0 and (problem := count_problem(name, value)):
                 problems.append(problem)
             elif value <= 0 or not math.isfinite(value):
                 problems.append(f"{name}: size must be positive, got {show_int(value)}")
@@ -483,9 +491,7 @@ def _series_row(fields: list[str]) -> tuple[float, int]:
     if not math.isfinite(start_days):
         raise ValidationError(f"bucket_start must be finite, got {show_value(raw_start)}")
     count = _csv_int(raw_count, "count must be an integer")
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {show_int(count)}")
-    if problem := above_max_count("count", count):
+    if problem := count_problem("count", count):
         raise ValidationError(problem)
     return start_days, count
 

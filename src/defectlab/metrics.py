@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 from datetime import timedelta
 
-from .errors import ValidationError, Value, above_max_count, show_int, show_value
+from .errors import ValidationError, Value, check_fraction, count_problem, show_int, show_value
 from .ledger import DefectRecord, ProductProfile
 
 #: How the injection rate is estimated when true injected counts are
@@ -49,9 +49,8 @@ class MetricsSummary(Value):
         if self.defect_count < 0:
             problems.append(f"defect_count must be >= 0, got {show_int(self.defect_count)}")
         for name in ("injection_rate", "removal_efficiency"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                problems.append(f"{name} must be within [0, 1], got {value}")
+            if (value := getattr(self, name)) is not None:
+                check_fraction(name, value, problems)
         for name in ("density_per_uf", "density_per_kloc", "removal_rate"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
@@ -63,12 +62,10 @@ class MetricsSummary(Value):
 
 def defect_density(defects: int, size: float) -> float:
     """Defects per size unit (unique formulas, KLOC, or function points)."""
-    if defects < 0:
-        raise ValidationError(f"defects must be >= 0, got {show_int(defects)}")
     # An integer past MAX_COUNT may not convert to a float at all.
-    if problem := above_max_count("defects", defects):
+    if problem := count_problem("defects", defects):
         raise ValidationError(problem)
-    if isinstance(size, int) and (problem := above_max_count("size", size)):
+    if isinstance(size, int) and size > 0 and (problem := count_problem("size", size)):
         raise ValidationError(problem)
     if size <= 0 or not math.isfinite(size):
         raise ValidationError(f"size must be positive, got {show_int(size)}")

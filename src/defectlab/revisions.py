@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from .errors import DivergenceError, ValidationError, Value, above_max_count, show_int
+from .errors import DivergenceError, ValidationError, Value, check_fraction, count_problem, show_int
 
 #: Expected residual defects below which a product is signed off.
 SIGNOFF_THRESHOLD = 0.5
@@ -76,18 +76,6 @@ PUBLISHED_REVISIONS = (
 )
 
 
-def _check_fraction(name: str, value: float, problems: list[str]) -> None:
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        problems.append(f"{name} must be within [0, 1], got {value}")
-
-
-def _check_units(units: int, problems: list[str]) -> None:
-    if units < 1:
-        problems.append(f"units must be >= 1, got {show_int(units)}")
-    elif problem := above_max_count("units", units):
-        problems.append(problem)
-
-
 def _check_threshold(threshold: float, problems: list[str]) -> None:
     # Below the smallest normal float the decay can stall at a subnormal
     # value above the threshold, so a convergent process would read as
@@ -115,9 +103,10 @@ class ProcessParams(Value):
 
     def __post_init__(self) -> None:
         problems: list[str] = []
-        _check_units(self.units, problems)
-        _check_fraction("injection_rate", self.injection_rate, problems)
-        _check_fraction("removal_efficiency", self.removal_efficiency, problems)
+        if problem := count_problem("units", self.units, least=1):
+            problems.append(problem)
+        check_fraction("injection_rate", self.injection_rate, problems)
+        check_fraction("removal_efficiency", self.removal_efficiency, problems)
         _check_threshold(self.threshold, problems)
         if problems:
             raise ValidationError("invalid process parameters", problems)
@@ -194,8 +183,9 @@ class McOutcome(Value):
 def initial_defects(units: int, injection_rate: float) -> float:
     """Expected defects planted by the initial build: units x rate."""
     problems: list[str] = []
-    _check_units(units, problems)
-    _check_fraction("injection_rate", injection_rate, problems)
+    if problem := count_problem("units", units, least=1):
+        problems.append(problem)
+    check_fraction("injection_rate", injection_rate, problems)
     if problems:
         raise ValidationError("invalid build", problems)
     return units * injection_rate
@@ -270,7 +260,8 @@ def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> Revision
     signs off (see ``_check_threshold``).
     """
     problems: list[str] = []
-    _check_units(units, problems)
+    if problem := count_problem("units", units, least=1):
+        problems.append(problem)
     _check_threshold(threshold, problems)
     if problems:
         raise ValidationError("invalid grid parameters", problems)
@@ -411,7 +402,7 @@ def infer_efficiency(
         problems.append(f"initial defects must be positive, got {initial}")
     if revisions < 2:
         problems.append(f"revisions must be >= 2, got {show_int(revisions)}")
-    _check_fraction("injection_rate", injection_rate, problems)
+    check_fraction("injection_rate", injection_rate, problems)
     if injection_rate >= 1.0:
         problems.append("injection_rate must be < 1 for any removal to stick")
     _check_threshold(threshold, problems)

@@ -11,7 +11,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-from .errors import ValidationError, Value, above_max_count, show_int, show_value
+from .errors import ValidationError, Value, count_problem, show_int, show_value
 
 
 class NegativeInterceptWarning(UserWarning):
@@ -53,9 +53,7 @@ class SizePoint(Value):
 
     def __post_init__(self) -> None:
         _check_uf(self.uf)
-        if self.issues < 0:
-            raise ValidationError(f"issues must be >= 0, got {show_int(self.issues)}")
-        if problem := above_max_count("issues", self.issues):
+        if problem := count_problem("issues", self.issues):
             raise ValidationError(problem)
 
 
@@ -72,7 +70,7 @@ DEFAULT_SQRT_MODEL = SqrtSizeModel(coefficient=2.6)
 def _check_uf(uf: int) -> None:
     if uf <= 0:
         raise ValidationError(f"uf must be positive, got {show_int(uf)}")
-    if problem := above_max_count("uf", uf):
+    if problem := count_problem("uf", uf):
         raise ValidationError(problem)
 
 

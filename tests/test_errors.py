@@ -1,7 +1,10 @@
-"""Messages show over-long integers by digit count instead of raising, and
-cut over-long values."""
+"""Messages show over-long integers by digit count instead of raising, cut
+over-long values, and word a value just outside its range the same way at
+every site that checks that range."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -13,14 +16,18 @@ from defectlab import (
     SizePoint,
     ValidationError,
     defect_density,
+    initial_defects,
+    linear_estimate,
     parse_defect_log,
     parse_product_registry,
     parse_scatter,
     parse_series,
+    revision_table,
     simulate_monte_carlo,
+    sqrt_estimate,
     summarize,
 )
-from defectlab.errors import MAX_SHOWN, show_int, show_value
+from defectlab.errors import MAX_COUNT, MAX_SHOWN, _digit_count, show_int, show_value
 
 #: More digits than ``str()`` converts by default (4300).
 LONG = 10**5000
@@ -37,10 +44,19 @@ class TestShowInt:
         assert show_int(LONG) == "an integer of 5001 digits"
         assert show_int(-LONG) == "a negative integer of 5001 digits"
 
+    @pytest.mark.parametrize("k", [512, 1024, 2048])
+    def test_digit_count_corrects_a_logarithm_rounded_below_a_power_of_ten(self, k):
+        assert int(math.log10(10**k)) + 1 == k  # one short of 10**k's k + 1 digits
+        assert _digit_count(10**k) == k + 1
+
 
 @pytest.mark.parametrize(("case", "call"), [
     ("ProcessParams units", lambda: ProcessParams(
         units=-LONG, injection_rate=0.07, removal_efficiency=0.75)),
+    ("ProcessParams rate", lambda: ProcessParams(
+        units=2182, injection_rate=LONG, removal_efficiency=0.75)),
+    ("MetricsSummary rate", lambda: MetricsSummary(
+        product_id="m1", defect_count=1, removal_efficiency=LONG)),
     ("SizePoint issues", lambda: SizePoint(uf=1, issues=-LONG)),
     ("DefectRecord severity", lambda: make_record(severity=LONG)),
     ("DefectRecord fix_changes", lambda: make_record(fixed_offset_h=1.0, fix_changes=-LONG)),
@@ -95,3 +111,79 @@ def test_decoder_messages_cut_an_over_long_value(case, call):
         call()
     assert "... (" in str(err.value)
     assert len(str(err.value)) < 400
+
+
+#: Just past the top of a count's range, which MAX_COUNT bounds everywhere.
+OVER = MAX_COUNT + 1
+TOO_MANY = f"must be <= {MAX_COUNT}, got {OVER}"
+NOT_A_COUNT = f"must be <= {MAX_COUNT}, got nan"
+PROCESS = "invalid process parameters\n  units"
+PROFILE = "invalid product profile 'm1'\n  "
+SUMMARY = "invalid metrics summary for 'm1'\n  "
+SIZES = ("unique_formulas", "kloc", "function_points")
+
+
+def _params(units: int) -> ProcessParams:
+    return ProcessParams(units=units, injection_rate=0.2, removal_efficiency=0.5)
+
+
+def _profile(size: str, value: int) -> ProductProfile:
+    return ProductProfile(product_id="m1", **{size: value})
+
+
+#: A call with a value just outside its range, or NaN, which is within
+#: none, by case, and its message; tests/test_ledger.py and tests/test_cli.py pin the series count's -1,
+#: fix_changes past MAX_COUNT and the grid's 0 units.
+OUT_OF_RANGE = {case: (call, message) for case, call, message in [
+    ("series count over", lambda: parse_series(f"bucket_start,count\n0,{OVER}\n"),
+     f"series file failed validation\n  row 1: count {TOO_MANY}"),
+    ("fix_changes -1", lambda: make_record(fixed_offset_h=1.0, fix_changes=-1),
+     "invalid defect record 'd1'\n  fix_changes must be >= 0, got -1"),
+    ("density defects -1", lambda: defect_density(-1, 1), "defects must be >= 0, got -1"),
+    ("density defects over", lambda: defect_density(OVER, 1), f"defects {TOO_MANY}"),
+    ("density size 0", lambda: defect_density(1, 0), "size must be positive, got 0"),
+    ("density size over", lambda: defect_density(1, OVER), f"size {TOO_MANY}"),
+    ("process units 0", lambda: _params(0), f"{PROCESS} must be >= 1, got 0"),
+    ("process units over", lambda: _params(OVER), f"{PROCESS} {TOO_MANY}"),
+    ("build units 0", lambda: initial_defects(0, 0.2),
+     "invalid build\n  units must be >= 1, got 0"),
+    ("build units over", lambda: initial_defects(OVER, 0.2),
+     f"invalid build\n  units {TOO_MANY}"),
+    ("grid units over", lambda: revision_table(OVER),
+     f"invalid grid parameters\n  units {TOO_MANY}"),
+    ("point issues -1", lambda: SizePoint(uf=1, issues=-1), "issues must be >= 0, got -1"),
+    ("point issues over", lambda: SizePoint(uf=1, issues=OVER), f"issues {TOO_MANY}"),
+    ("point uf 0", lambda: SizePoint(uf=0, issues=1), "uf must be positive, got 0"),
+    ("point uf over", lambda: SizePoint(uf=OVER, issues=1), f"uf {TOO_MANY}"),
+    ("linear uf 0", lambda: linear_estimate(0), "uf must be positive, got 0"),
+    ("linear uf over", lambda: linear_estimate(OVER), f"uf {TOO_MANY}"),
+    ("sqrt uf 0", lambda: sqrt_estimate(0), "uf must be positive, got 0"),
+    ("sqrt uf over", lambda: sqrt_estimate(OVER), f"uf {TOO_MANY}"),
+    ("density defects nan", lambda: defect_density(math.nan, 1), f"defects {NOT_A_COUNT}"),
+    ("process units nan", lambda: _params(math.nan), f"{PROCESS} {NOT_A_COUNT}"),
+    ("build units nan", lambda: initial_defects(math.nan, 0.2),
+     f"invalid build\n  units {NOT_A_COUNT}"),
+    ("grid units nan", lambda: revision_table(math.nan),
+     f"invalid grid parameters\n  units {NOT_A_COUNT}"),
+    ("point issues nan", lambda: SizePoint(uf=1, issues=math.nan), f"issues {NOT_A_COUNT}"),
+    ("point uf nan", lambda: SizePoint(uf=math.nan, issues=1), f"uf {NOT_A_COUNT}"),
+    ("linear uf nan", lambda: linear_estimate(math.nan), f"uf {NOT_A_COUNT}"),
+    ("sqrt uf nan", lambda: sqrt_estimate(math.nan), f"uf {NOT_A_COUNT}"),
+    *((f"profile {size} 0", lambda size=size: _profile(size, 0),
+       f"{PROFILE}{size}: size must be positive, got 0") for size in SIZES),
+    *((f"profile {size} over", lambda size=size: _profile(size, OVER),
+       f"{PROFILE}{size} {TOO_MANY}") for size in SIZES),
+    *((f"summary {rate} {value}",
+       lambda rate=rate, value=value: MetricsSummary(product_id="m1", defect_count=1,
+                                                     **{rate: value}),
+       f"{SUMMARY}{rate} must be within [0, 1], got {value}")
+      for rate in ("injection_rate", "removal_efficiency") for value in (math.nan, 1.5)),
+]}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_a_value_just_outside_its_range_gets_its_message(case):
+    call, message = OUT_OF_RANGE[case]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message

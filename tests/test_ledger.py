@@ -73,6 +73,13 @@ class TestTimestamps:
             parse_timestamp(text)
         assert str(caught.value) == f"invalid timestamp {text!r}"
 
+    @pytest.mark.parametrize("zone", ["Z", "z", "+00:00", "-05:30"])
+    def test_a_zone_after_anything_but_a_digit_rejected(self, zone):
+        # fromisoformat skips one such character between the time and the zone.
+        for stray in [chr(c) for c in range(128) if not chr(c).isdigit()] + ["٣"]:
+            with pytest.raises(ValidationError, match="^invalid timestamp"):
+                parse_timestamp(f"2004-03-01T10:00:00{stray}{zone}")
+
     @pytest.mark.parametrize("text", [
         "2004-03-01T10:00:00Z", "2004-03-01T10:00:00+02:00", "2004-03-01T10:00:00",
     ])

@@ -99,6 +99,19 @@ PARITY_CASES = {
         ("defects[0]: invalid timestamp '2004-03-01T10:00:00Z\\x00junk'",),
         ("row 1: invalid timestamp '2004-03-01T10:00:00Z\\x00junk'",),
     ),
+    **{
+        f"{name} before the zone": (
+            {"found_at": stamp},
+            (f"defects[0]: invalid timestamp {stamp!r}",),
+            (f"row 1: invalid timestamp {stamp!r}",),
+        )
+        for name, stamp in [
+            ("x", "2004-03-01T10:00:00xZ"),
+            ("space", "2004-03-01T10:00:00 Z"),
+            ("point", "2004-03-01T10:00:00.Z"),
+            ("x and offset", "2004-03-01T10:00:00x+00:00"),
+        ]
+    },
     "+00:00 suffix": ({"found_at": "2004-03-01T10:00:00+00:00"}, None, None),
     "lowercase z suffix": ({"found_at": "2004-03-01T10:00:00z"}, None, None),
     "missing key": (
@@ -274,14 +287,16 @@ def _reference_parse_timestamp(text: str) -> datetime:
     """``parse_timestamp`` as it was before it tried ``fromisoformat`` on
     the raw text first: the reference for its results and messages, which
     show the text as every decoder message does.  Text that holds a NUL,
-    where ``fromisoformat`` stops reading, is invalid."""
+    where ``fromisoformat`` stops reading, is invalid, and so is a zone, its
+    last ``Z``, ``z``, ``+`` or ``-``, that does not follow an ASCII digit."""
     raw = text.strip()
     normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
         stamp = datetime.fromisoformat(normalised)
     except ValueError:
         raise ValidationError(f"invalid timestamp {show_value(text)}") from None
-    if "\x00" in text:
+    zone_at = max(raw.rfind(mark) for mark in "Zz+-")
+    if "\x00" in text or (stamp.tzinfo is not None and raw[zone_at - 1] not in "0123456789"):
         raise ValidationError(f"invalid timestamp {show_value(text)}")
     if stamp.tzinfo is timezone.utc:
         return stamp
