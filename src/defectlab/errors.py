@@ -20,6 +20,15 @@ def count_problem(name: str, value: int, least: int = 0) -> str | None:
     return None
 
 
+def plain_number(kind: type[int] | type[float], text: str) -> int | float:
+    """``kind(text)``, for ``int`` or ``float``, of ASCII text without ``_``.
+    Other text raises ``ValueError``, as text ``kind`` refuses does: both
+    would read other digits, such as ``٣``, and ``_`` between digits."""
+    if text.isascii() and "_" not in text:
+        return kind(text)
+    raise ValueError(text)
+
+
 def check_fraction(name: str, value: float, problems: list[str]) -> None:
     """Add a problem unless ``value`` is within [0, 1], which no NaN is."""
     if not 0.0 <= value <= 1.0:

@@ -18,12 +18,15 @@ import csv
 import io
 import json
 import math
+import re
 from collections.abc import Callable, Sequence
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import MAX_COUNT, ValidationError, Value, count_problem, cut, show_int, show_value
+from .errors import (
+    MAX_COUNT, ValidationError, Value, count_problem, cut, plain_number, show_int, show_value
+)
 
 T = TypeVar("T")
 
@@ -65,44 +68,37 @@ _UNKNOWN, _FIXED = PHASES["unknown"], STATUSES["fixed"]
 _UTC = timezone.utc
 _ZERO = timedelta(0)
 
+#: The timestamp grammar that :func:`parse_timestamp` states; ``re``
+#: compiles it on first use, not at import.
+_STAMP = r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d(?:[.,]\d+)?(?:[Zz]|[+-]\d\d:\d\d)?"
+
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO 8601 timestamp that carries an explicit UTC marker.
+    """Parse a timestamp in the ledger's grammar, which must say UTC.
 
-    Accepts the trailing ``Z`` designator as well as ``+00:00``.  Naive
-    timestamps and non-UTC offsets are rejected so that records from
-    different sources always compare on the same clock.
-
-    The text goes to ``datetime.fromisoformat`` as it stands, which reads
-    ``Z`` itself.  Only text it refuses, such as one with surrounding
-    whitespace or a lowercase ``z``, is stripped, normalised and parsed
-    again.  Refused as well are a NUL, where ``fromisoformat`` stops
-    reading, and a zone that does not follow a digit of the time, since
-    ``fromisoformat`` skips one stray character there.
+    The grammar is ``YYYY-MM-DD``, then ``T``, ``t`` or a space, then
+    ``HH:MM:SS`` with an optional ``.`` or ``,`` fraction, then an optional
+    zone: ``Z``, ``z`` or ``+HH:MM``/``-HH:MM``.  Only ASCII digits count,
+    and surrounding whitespace is stripped.  Any other text is an invalid
+    timestamp.  A stamp without a zone, or with a nonzero offset, is
+    refused too, so that records from different sources always compare on
+    the same clock.  A value that is not a ``str`` raises ``TypeError``.
     """
     try:
-        stamp = datetime.fromisoformat(text)
-    except (TypeError, ValueError):
-        raw = text.strip()
-        normalised = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
-        try:
-            stamp = datetime.fromisoformat(normalised)
-        except ValueError:
-            raise ValidationError(f"invalid timestamp {show_value(text)}") from None
-    zone = stamp.tzinfo
-    if zone is _UTC and text[-1] == "Z" and text[-2] in "0123456789" and "\x00" not in text:
+        # fromisoformat reads only ASCII digits, so text of this shape that
+        # it takes is in the canonical form, which ingest writes.
+        if len(text) == 20 and text[4::3] == "--T::Z":
+            return datetime.fromisoformat(text)
+        raw = str.strip(text)
+        if not re.fullmatch(_STAMP, raw, re.ASCII):
+            raise ValueError
+        stamp = datetime.fromisoformat(raw[:-1] + "+00:00" if raw[-1] in "Zz" else raw)
+    except ValueError:
+        raise ValidationError(f"invalid timestamp {show_value(text)}") from None
+    if stamp.tzinfo is _UTC:  # fromisoformat's zone for every zero offset
         return stamp
-    # Short of its offset's digits and separators, an aware stamp ends in
-    # the zone's Z or sign, which must follow a digit of the time.
-    if "\x00" in text or zone is not None and (
-        text.strip().rstrip("0123456789:.,")[-2] not in "0123456789"
-    ):
-        raise ValidationError(f"invalid timestamp {show_value(text)}")
-    if zone is _UTC:
-        return stamp
-    if zone is None:
+    if stamp.tzinfo is None:
         raise ValidationError(f"timestamp {show_value(text)} must carry a UTC offset")
-    # fromisoformat gives the timezone.utc singleton for every zero offset.
     raise ValidationError(f"timestamp {show_value(text)} must be UTC, not a local offset")
 
 
@@ -433,7 +429,7 @@ def _entry_values(entry: object) -> tuple:
 
 def _csv_int(text: str, message: str) -> int:
     try:
-        return int(text)
+        return plain_number(int, text)
     except ValueError:
         raise ValidationError(f"{message}, got {show_value(text)}") from None
 
@@ -485,7 +481,7 @@ def parse_defect_log(text: str) -> list[DefectRecord]:
 def _series_row(fields: list[str]) -> tuple[float, int]:
     raw_start, raw_count = fields
     try:
-        start_days = float(raw_start)
+        start_days = plain_number(float, raw_start)
     except ValueError:
         start_days = parse_timestamp(raw_start).timestamp() / 86400.0
     if not math.isfinite(start_days):

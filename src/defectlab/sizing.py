@@ -11,7 +11,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 
-from .errors import ValidationError, Value, count_problem, show_int, show_value
+from .errors import ValidationError, Value, count_problem, plain_number, show_int, show_value
 
 
 class NegativeInterceptWarning(UserWarning):
@@ -132,7 +132,7 @@ def residual_sum_of_squares(
 
 def _scatter_row(fields: list[str]) -> SizePoint:
     try:
-        uf, issues = (int(field) for field in fields)
+        uf, issues = (plain_number(int, field) for field in fields)
     except ValueError:
         raise ValidationError(
             f"uf and issues must be integers, got {show_value(fields)}"

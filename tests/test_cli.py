@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ from defectlab.cli import (
     EXIT_VALIDATION,
     run,
 )
-from defectlab.ledger import format_timestamp
+from defectlab.ledger import format_timestamp, parse_timestamp
 from defectlab.rayleigh import expected_bucket_counts
 
 from conftest import EPOCH, make_record
@@ -921,6 +921,59 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
         assert "not-utf8" in error
     if case in CONTRACT_STDERR:
         assert err == CONTRACT_STDERR[case]
+
+
+_TEN_AM = datetime(2004, 3, 1, 10, tzinfo=timezone.utc)
+
+#: Each stamp form the README lists, with the instant it reads as, and
+#: texts outside the timestamp grammar, with None: all but the last three
+#: were read as 10:00 UTC before the grammar was stated.
+STAMP_CASES = {
+    "2004-03-01T10:00:00Z": _TEN_AM,
+    "2004-03-01t10:00:00z": _TEN_AM,
+    "2004-03-01 10:00:00+00:00": _TEN_AM,
+    "2004-03-01T10:00:00-00:00": _TEN_AM,
+    " 2004-03-01T10:00:00Z\t": _TEN_AM,
+    "2004-03-01T10:00:00.25Z": _TEN_AM + timedelta(milliseconds=250),
+    "2004-03-01T10:00:00,000001+00:00": _TEN_AM + timedelta(microseconds=1),
+    "2004-03-01x10:00:00Z": None,
+    "2004-03-01_10:00:00Z": None,
+    "2004-03-01\x0110:00:00Z": None,
+    "20040301x100000Z": None,
+    "2004-03-01T10Z": None,
+    "2004-03-01T10:00Z": None,
+    "2004-W10-1T10:00:00Z": None,
+    "2004-03-01T10:00:00+00:00:00": None,
+    "2004-03-01T10:00:00+0000": None,
+    "2004-03-01T10:00:00xZ": None,
+    "٢٠٠٤-03-01T10:00:00Z": None,
+    "2004-03-01T10:00:00Z\x00": None,
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "metrics"])
+@pytest.mark.parametrize("text", sorted(STAMP_CASES), ids=ascii)
+def test_a_stamp_reads_the_same_through_ingest_and_metrics(tmp_path, capsys, command, text):
+    # ingest reads the stamp from a CSV cell, metrics from a ledger's found_at.
+    if command == "ingest":
+        argv = _ingest(tmp_path, _defect_csv([f'd1,m1,build,test,"{text}",,2,open,']), PRODUCTS)
+        what, where = "defect log", "row 1"
+    else:
+        argv = ["metrics", "--ledger", _ledger(tmp_path, defect={"found_at": text})]
+        what, where = "ledger", "defects[0]"
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    expected = STAMP_CASES[text]
+    if expected is None:
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {what} failed validation\n  {where}: invalid timestamp {text!r}\n"
+        return
+    assert (code, err) == (EXIT_OK, "")
+    assert parse_timestamp(text) == expected
+    if command == "ingest":
+        (entry,) = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["defects"]
+        assert entry["found_at"] == format_timestamp(expected)
 
 
 #: Edge values for the numeric flags: NaN, the infinities, zeros,

@@ -30,7 +30,7 @@ def test_a_reworded_message_is_reported(tmp_path):
     module = change / "src" / "defectlab" / "ledger.py"
     text = module.read_text(encoding="utf-8")
     old = 'f"invalid timestamp {show_value(text)}"'
-    assert text.count(old) == 2
+    assert text.count(old) == 1
     module.write_text(text.replace(old, old.replace("invalid", "bad")), encoding="utf-8")
     done = _compare(REPO, change)
     assert done.returncode == 1, done.stdout + done.stderr

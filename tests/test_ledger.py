@@ -454,9 +454,14 @@ class TestParseSeries:
         ("2004-03-01T00:00:00Z\x00,1\n",
          "series file failed validation\n"
          "  row 1: invalid timestamp '2004-03-01T00:00:00Z\\x00'"),
+        # float and int read other digits and "_" between digits; a cell may hold neither.
+        ("١,٣\n", "series file failed validation\n  row 1: invalid timestamp '١'"),
+        ("1_0,3\n", "series file failed validation\n  row 1: invalid timestamp '1_0'"),
+        ("1,٣\n", "series file failed validation\n  row 1: count must be an integer, got '٣'"),
     ], ids=["non-finite start", "negative count", "no data rows", "repeated start",
             "decreasing starts", "wider than a timedelta", "uneven sub-day offsets",
-            "uneven millisecond stamps", "start ending in a NUL"])
+            "uneven millisecond stamps", "start ending in a NUL", "Arabic-Indic start",
+            "underscored start", "Arabic-Indic count"])
     def test_rejected(self, body, message):
         with pytest.raises(ValidationError) as caught:
             parse_series(SERIES_HEADER + body)

@@ -236,3 +236,12 @@ class TestParseScatter:
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             parse_scatter("")
+
+    @pytest.mark.parametrize("row", ["1_0,5", "١٠,5", "10,٥"])
+    def test_a_cell_of_other_digits_or_underscores_rejected(self, row):
+        # int reads them, but a scatter cell holds ASCII digits only.
+        with pytest.raises(ValidationError) as err:
+            parse_scatter(f"uf,issues\n{row}\n")
+        assert err.value.diagnostics == (
+            f"row 1: uf and issues must be integers, got {row.split(',')!r}",
+        )
