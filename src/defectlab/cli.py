@@ -10,8 +10,10 @@ print both forms.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
+import os
 import sys
 import warnings
 from collections.abc import Sequence
@@ -45,9 +47,17 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    # Text is always fully computed before this point, so a failed
-    # command never leaves a half-written output file behind.
-    Path(path).write_text(text, encoding="utf-8")
+    # A write that fails part way removes the file, so a failed command
+    # leaves no half-written output behind.  Only a regular file is
+    # removed: a device, a FIFO or a symlink, such as /dev/stdout, stays.
+    with Path(path).open("w", encoding="utf-8") as out:
+        try:
+            out.write(text)
+            out.flush()
+        except OSError:
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+            raise
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -353,10 +363,16 @@ def _read_exact(argv: Sequence[str]) -> SimpleNamespace | None:
 
 def _dispatch(argv: Sequence[str] | None) -> int:
     try:
-        args = _read_exact(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command][0](args)
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
+        try:
+            args = _read_exact(sys.argv[1:] if argv is None else argv)
+            if args is None:
+                args = _build_parser().parse_args(argv)
+            return _COMMANDS[args.command][0](args)
+        finally:
+            # A failed write to stdout is an I/O error, here and not at exit.
+            sys.stdout.flush()
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     except ValidationError as exc:
@@ -403,11 +419,22 @@ def main() -> None:
     for good, and freezes the heap before it exits.  The shutdown
     collections ignore ``gc.disable()`` but skip frozen objects, so they
     no longer walk the tens of thousands of objects numpy and the
-    command leave behind.  Outputs are written and closed before ``run``
-    returns, and the interpreter still flushes stdio and runs atexit
-    handlers.
+    command leave behind.  Output files are written and closed, and
+    stdout flushed, before ``run`` returns; the interpreter still runs
+    atexit handlers.
+
+    When stdout cannot be written, ``run`` has reported it, and what is
+    left in its buffer goes to ``os.devnull``, so that the interpreter's
+    own flush at exit cannot fail a second time.
     """
     gc.disable()
     code = run(sys.argv[1:])
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     gc.freeze()
     sys.exit(code)

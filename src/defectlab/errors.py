@@ -111,11 +111,11 @@ class Value:
     which would cost each command the import of ``dataclasses`` and ``inspect``.
 
     A subclass's fields are its own annotations, in order, with its class
-    attributes as defaults.  An instance holds them as its ``__dict__``,
-    so pickle and copy need nothing more; equality, hash and ``repr`` go
-    by the class and the field values, and ``__post_init__`` validates.
-    A subclass may instead declare its fields as ``__slots__`` and write
-    its own ``__init__`` and ``__reduce__``; the rest applies unchanged.
+    attributes as defaults, held in its ``__dict__``.  Equality, hash and
+    ``repr`` go by the class and the field values; ``__post_init__``
+    validates, and pickle and copy rebuild a value through its constructor,
+    so they validate too.  A subclass may instead declare its fields as
+    ``__slots__`` and write its own ``__init__``; the rest applies unchanged.
     """
 
     __slots__ = ()
@@ -144,6 +144,9 @@ class Value:
     def _values(self) -> tuple:
         """The field values in order, from slots or ``__dict__`` alike."""
         return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

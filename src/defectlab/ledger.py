@@ -216,10 +216,6 @@ class DefectRecord(Value):
         if problems:
             raise ValidationError(f"invalid defect record {show_value(id)}", problems)
 
-    def __reduce__(self) -> tuple:
-        # Pickle and copy rebuild the record through __init__, which validates.
-        return type(self), self._values()
-
 
 def _type_problems(
     names: Sequence[str], values: Sequence, kinds: Sequence[tuple[type, ...]]

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -663,6 +664,114 @@ def test_main_exits_with_the_collector_off_and_the_heap_frozen(capsys):
     enabled, frozen = json.loads(collector)
     assert not enabled
     assert frozen > 0
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+#: Command lines that write to stdout, run from a copy of the golden
+#: inputs and the ledger ``golden_dir`` ingests from them.  Only
+#: ``metrics`` and ``forecast --table`` print more than stdout's 8 KiB
+#: buffer, so the others write nothing until stdout is flushed.
+STDOUT_COMMANDS = {
+    "metrics": ["metrics", "--ledger", "ledger.json"],
+    "forecast": ["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75"],
+    "forecast --table": ["forecast", "--units", "2000", "--table"],
+    "forecast --monte-carlo": ["forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
+                               "--monte-carlo", "--trials", "100", "--seed", "7"],
+    "estimate --uf": ["estimate", "--uf", "2182"],
+    "fit-arrival": ["fit-arrival", "--series", "series.csv"],
+    "report": ["report", "--ledger", "ledger.json", "--svg", "report.svg"],
+    "--help": ["--help"],
+}
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory) -> Path:
+    work = tmp_path_factory.mktemp("golden")
+    for source in GOLDEN.iterdir():
+        shutil.copy(source, work / source.name)
+    argv = ["ingest", "--defects", str(work / "defects.csv"),
+            "--products", str(work / "products.json"), "--out", str(work / "ledger.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == EXIT_OK
+    return work
+
+
+def _child(argv: list[str], cwd: Path, **popen) -> subprocess.CompletedProcess:
+    """``python -m defectlab`` in a fresh process with stdout buffered, as
+    it is by default: PYTHONUNBUFFERED would write each print at once."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "defectlab", *argv],
+        cwd=cwd, env=env, stderr=subprocess.PIPE, text=True, **popen,
+    )
+
+
+def _assert_one_error_line(stderr: str) -> None:
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
+
+
+@contextlib.contextmanager
+def _unwritable_stdout(sink: str):
+    """The ``subprocess.run`` keywords that start a child with ``sink`` as its stdout."""
+    if sink == "closed":
+        yield {"preexec_fn": lambda: os.close(1)}
+    elif sink == "closed pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            yield {"stdout": write}
+        finally:
+            os.close(write)
+    else:
+        with open(sink, "wb") as full:
+            yield {"stdout": full}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("sink", ["closed", "closed pipe", "/dev/full"])
+@pytest.mark.parametrize("command", list(STDOUT_COMMANDS))
+def test_an_unwritable_stdout_is_an_io_error(golden_dir, command, sink):
+    with _unwritable_stdout(sink) as popen:
+        done = _child(STDOUT_COMMANDS[command], golden_dir, **popen)
+    assert done.returncode == EXIT_IO
+    _assert_one_error_line(done.stderr)
+
+
+#: A command, the output file it writes, and a limit on its process's
+#: file size below that file's full size: the ledger is 63,010 bytes,
+#: and the chart several KiB.
+PARTIAL_WRITES = {
+    "ingest": (["ingest", "--defects", "defects.csv", "--products", "products.json",
+                "--out", "limited.json"], "limited.json", 16 * 1024),
+    "report": (["report", "--ledger", "ledger.json", "--svg", "limited.svg"],
+               "limited.svg", 1024),
+}
+
+
+@pytest.mark.parametrize("command", list(PARTIAL_WRITES))
+def test_a_write_that_fails_part_way_leaves_no_file(golden_dir, command):
+    import resource
+
+    argv, out, limit = PARTIAL_WRITES[command]
+    done = _child(argv, golden_dir, stdout=subprocess.PIPE,
+                  preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert done.returncode == EXIT_IO
+    _assert_one_error_line(done.stderr)
+    assert not (golden_dir / out).exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_through_a_symlink_leaves_the_link(golden_dir):
+    link = golden_dir / "full.json"
+    link.symlink_to("/dev/full")
+    done = _child(["fit-arrival", "--series", "series.csv", "--out", str(link)], golden_dir,
+                  stdout=subprocess.PIPE)
+    assert done.returncode == EXIT_IO
+    _assert_one_error_line(done.stderr)
+    assert os.readlink(link) == "/dev/full"
 
 
 NOT_UTF8 = b"\xff\xfe"

@@ -42,6 +42,10 @@ CASES = {
     ),
     "metrics json": (["metrics", "--ledger", "ledger.json"], []),
     "metrics csv": (["metrics", "--ledger", "ledger.json", "--format", "csv"], []),
+    "metrics p07 json": (["metrics", "--ledger", "ledger.json", "--product", "p07"], []),
+    "metrics p07 csv": (
+        ["metrics", "--ledger", "ledger.json", "--product", "p07", "--format", "csv"], [],
+    ),
     "report": (["report", "--ledger", "ledger.json", "--svg", "report.svg"], ["report.svg"]),
     "report p07 daily": (
         ["report", "--ledger", "ledger.json", "--svg", "p07.svg", "--bucket-days", "1",
@@ -73,7 +77,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 #: ``estimate`` cases were recorded before the model objects were built
 #: from ``_asdict()``.  The ``forecast --units 1000 --table`` case, whose
 #: cells have no published counterpart, was recorded before the published
-#: table took the shape of the grid's rows.
+#: table took the shape of the grid's rows, and the two ``metrics --product p07``
+#: cases when they were added, from the code before that change.
 EXPECTED: dict[str, dict] = {
     "ingest": {
         "exit": 0,
@@ -98,6 +103,18 @@ EXPECTED: dict[str, dict] = {
     "metrics csv": {
         "exit": 0,
         "stdout": "b9a0dd88365689d2fba1783bd31b304fc10a48e1ac15dbadc9b0399a1e45dd8f",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "metrics p07 json": {
+        "exit": 0,
+        "stdout": "fdd809e03aa0f7995c7e8fa590920e9970636412562d43ee094ca7be45707222",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "metrics p07 csv": {
+        "exit": 0,
+        "stdout": "d54b609c507bdea2c552b698683c45ebfbc3538704944ac032efa65e5f8cb868",
         "stderr": EMPTY,
         "files": {},
     },

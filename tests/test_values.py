@@ -179,3 +179,51 @@ def test_value_type_keeps_the_frozen_dataclass_contract(cls, fields, defaults, b
     # Validation still runs on construction.
     with pytest.raises(ValidationError):
         cls(**{**kwargs, bad[0]: bad[1]})
+
+
+#: Each way to rebuild a value: copy, deepcopy and pickle at every protocol.
+REBUILDS = {"copy": copy.copy, "deepcopy": copy.deepcopy} | {
+    f"pickle {protocol}": lambda value, protocol=protocol: pickle.loads(
+        pickle.dumps(value, protocol)
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+}
+
+
+@pytest.mark.parametrize(("cls", "fields", "defaults", "bad"), CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_every_rebuild_goes_through_the_constructor(cls, fields, defaults, bad):
+    # A field changed behind the constructor, past its frozen __setattr__,
+    # is refused again by each rebuild, which runs the constructor's checks.
+    value = cls(*[example for _, example in fields])
+    name, wrong = bad
+    if "__slots__" in cls.__dict__:
+        getattr(cls, name).__set__(value, wrong)
+    else:
+        vars(value)[name] = wrong
+    assert getattr(value, name) == wrong
+    kept = []
+    for how, rebuild in REBUILDS.items():
+        try:
+            rebuild(value)
+        except ValidationError:
+            continue
+        kept.append(how)
+    assert kept == []
+
+#: ``SizePoint(2182, 151)`` pickled at protocols 0, 2 and 5 before values
+#: were rebuilt through their constructor: a new object and its saved
+#: ``__dict__``.  They still load, because ``Value`` has no ``__setstate__``.
+OLD_PICKLES = [
+    b"ccopy_reg\n_reconstructor\np0\n(cdefectlab.sizing\nSizePoint\np1\nc__builtin__\n"
+    b"object\np2\nNtp3\nRp4\n(dp5\nVuf\np6\nI2182\nsVissues\np7\nI151\nsb.",
+    b"\x80\x02cdefectlab.sizing\nSizePoint\nq\x00)\x81q\x01}q\x02(X\x02\x00\x00\x00ufq\x03"
+    b"M\x86\x08X\x06\x00\x00\x00issuesq\x04K\x97ub.",
+    b"\x80\x05\x95=\x00\x00\x00\x00\x00\x00\x00\x8c\x10defectlab.sizing\x94\x8c\tSizePoint"
+    b"\x94\x93\x94)\x81\x94}\x94(\x8c\x02uf\x94M\x86\x08\x8c\x06issues\x94K\x97ub.",
+]
+
+
+@pytest.mark.parametrize("data", OLD_PICKLES, ids=["protocol 0", "protocol 2", "protocol 5"])
+def test_a_pickle_of_a_saved_dict_still_loads(data):
+    assert pickle.loads(data) == SizePoint(2182, 151)
