@@ -1,8 +1,11 @@
-"""Exception types, input bounds and the frozen value base shared across the package."""
+"""Exception types, input bounds and the frozen value base shared across
+the package.  Each kind of number, a count, a fraction or a real, has one
+range check here, which also words its message."""
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 #: Largest unit, formula or issue count accepted as input: every
@@ -10,13 +13,27 @@ from collections.abc import Sequence
 #: their arithmetic in floats.
 MAX_COUNT = 2**53
 
+#: Most buckets an arrival series or an expected curve may hold; a
+#: count that would need more is rejected before anything is allocated.
+MAX_BUCKETS = 100_000
 
-def count_problem(name: str, value: int, least: int = 0) -> str | None:
-    """The problem with a count outside ``least..MAX_COUNT``, as NaN is, or None."""
+
+def count_problem(name: str, value: int, least: int = 0, most: int = MAX_COUNT) -> str | None:
+    """The problem with a count outside ``least..most``, as NaN is, or None."""
     if value < least:
         return f"{name} must be >= {least}, got {show_int(value)}"
-    if not value <= MAX_COUNT:
-        return f"{name} must be <= {MAX_COUNT}, got {show_int(value)}"
+    if not value <= most:
+        return f"{name} must be <= {most}, got {show_int(value)}"
+    return None
+
+
+def real_problem(name: str, value: float, zero: bool = False) -> str | None:
+    """The problem with a real that is not positive (with ``zero``, that is
+    negative), or is NaN, infinite or, as an integer, past float range, or None."""
+    if not (0 <= value if zero else 0 < value) or value == math.inf:
+        return f"{name} must be {'>= 0' if zero else 'positive'}, got {show_int(value)}"
+    if not value <= sys.float_info.max:
+        return f"{name} must be <= {sys.float_info.max}, got {show_int(value)}"
     return None
 
 

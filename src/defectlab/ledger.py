@@ -25,7 +25,8 @@ from operator import itemgetter
 from typing import TypeVar
 
 from .errors import (
-    MAX_COUNT, ValidationError, Value, count_problem, cut, plain_number, show_int, show_value
+    MAX_BUCKETS, MAX_COUNT, ValidationError, Value, count_problem, cut, plain_number,
+    real_problem, show_int, show_value,
 )
 
 T = TypeVar("T")
@@ -46,10 +47,6 @@ DEFECT_CSV_COLUMNS = (
 _DEFECT_KEYS = frozenset(DEFECT_CSV_COLUMNS)
 
 SEVERITY_RANGE = (1, 4)
-
-#: Most buckets an arrival series may hold; a bucket width that would
-#: need more is rejected before anything is allocated.
-MAX_BUCKETS = 100_000
 
 
 class Term(str):
@@ -274,10 +271,9 @@ class ProductProfile(Value):
         for name, value in sizes.items():
             if value is None:
                 continue
-            if type(value) is int and value > 0 and (problem := count_problem(name, value)):
+            if problem := (count_problem(name, value) if type(value) is int and value > 0
+                           else real_problem(f"{name}: size", value)):
                 problems.append(problem)
-            elif value <= 0 or not math.isfinite(value):
-                problems.append(f"{name}: size must be positive, got {show_int(value)}")
         if problems:
             raise ValidationError(f"invalid product profile {show_value(product_id)}", problems)
         if type(self.kloc) is int:  # held to MAX_COUNT above, so exact as a float

@@ -15,7 +15,9 @@ import math
 from collections.abc import Iterable, Sequence
 from datetime import timedelta
 
-from .errors import ValidationError, Value, check_fraction, count_problem, show_int, show_value
+from .errors import (
+    ValidationError, Value, check_fraction, count_problem, real_problem, show_int, show_value
+)
 from .ledger import DefectRecord, ProductProfile
 
 #: How the injection rate is estimated when true injected counts are
@@ -46,15 +48,15 @@ class MetricsSummary(Value):
 
     def __post_init__(self) -> None:
         problems = []
-        if self.defect_count < 0:
-            problems.append(f"defect_count must be >= 0, got {show_int(self.defect_count)}")
+        if problem := count_problem("defect_count", self.defect_count):
+            problems.append(problem)
         for name in ("injection_rate", "removal_efficiency"):
             if (value := getattr(self, name)) is not None:
                 check_fraction(name, value, problems)
         for name in ("density_per_uf", "density_per_kloc", "removal_rate"):
             value = getattr(self, name)
-            if value is not None and value < 0.0:
-                problems.append(f"{name} must be >= 0, got {value}")
+            if value is not None and (problem := real_problem(name, value, zero=True)):
+                problems.append(problem)
         if problems:
             product = show_value(self.product_id)
             raise ValidationError(f"invalid metrics summary for {product}", problems)
@@ -65,10 +67,9 @@ def defect_density(defects: int, size: float) -> float:
     # An integer past MAX_COUNT may not convert to a float at all.
     if problem := count_problem("defects", defects):
         raise ValidationError(problem)
-    if isinstance(size, int) and size > 0 and (problem := count_problem("size", size)):
+    if problem := (count_problem("size", size) if isinstance(size, int) and size > 0
+                   else real_problem("size", size)):
         raise ValidationError(problem)
-    if size <= 0 or not math.isfinite(size):
-        raise ValidationError(f"size must be positive, got {show_int(size)}")
     density = defects / size
     if not math.isfinite(density):
         raise ValidationError(f"density of {show_int(defects)} over a size of {size} overflows")
@@ -77,17 +78,15 @@ def defect_density(defects: int, size: float) -> float:
 
 def removal_efficiency(removed_by_process: int, total_present: int) -> float:
     """Fraction of the defects present that a find-and-fix pass removed."""
-    if total_present <= 0:
-        raise ValidationError(f"total_present must be positive, got {show_int(total_present)}")
-    if removed_by_process < 0:
-        raise ValidationError(
-            f"removed_by_process must be >= 0, got {show_int(removed_by_process)}"
-        )
+    if problem := real_problem("total_present", total_present):
+        raise ValidationError(problem)
     if removed_by_process > total_present:
         raise ValidationError(
             f"removed_by_process {show_int(removed_by_process)} exceeds "
             f"total_present {show_int(total_present)}"
         )
+    if problem := count_problem("removed_by_process", removed_by_process):
+        raise ValidationError(problem)
     return removed_by_process / total_present
 
 

@@ -17,7 +17,9 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import NonConvergenceError, ValidationError, Value, show_int
+from .errors import (
+    MAX_BUCKETS, NonConvergenceError, ValidationError, Value, count_problem, real_problem
+)
 
 #: Fraction of lifetime defects discovered by t = sigma: 1 - e^(-1/2).
 PEAK_FRACTION = 1.0 - math.exp(-0.5)
@@ -48,15 +50,12 @@ class RayleighFit(Value):
     buckets_used: int
 
     def __post_init__(self) -> None:
-        problems: list[str] = []
-        if not math.isfinite(self.k_total) or self.k_total <= 0:
-            problems.append(f"k_total must be positive, got {self.k_total}")
-        if not math.isfinite(self.sigma) or self.sigma <= 0:
-            problems.append(f"sigma must be positive, got {self.sigma}")
-        if not math.isfinite(self.sse) or self.sse < 0:
-            problems.append(f"sse must be >= 0, got {self.sse}")
-        if self.buckets_used < 3:
-            problems.append(f"buckets_used must be >= 3, got {show_int(self.buckets_used)}")
+        problems = [problem for problem in (
+            real_problem("k_total", self.k_total),
+            real_problem("sigma", self.sigma),
+            real_problem("sse", self.sse, zero=True),
+            count_problem("buckets_used", self.buckets_used, least=3),
+        ) if problem]
         if problems:
             raise ValidationError("invalid arrival fit", problems)
 
@@ -69,19 +68,16 @@ def _unit_curve(sigma: float, times: Iterable[float]) -> list[float]:
 
 def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
     """Cumulative defects discovered by time t."""
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    if not math.isfinite(sigma) or sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if not math.isfinite(k_total) or k_total <= 0:
-        raise ValidationError(f"k_total must be positive, got {k_total}")
-    return k_total * _unit_curve(sigma, (t,))[0]
+    if problem := (real_problem("t", t, zero=True) or real_problem("sigma", sigma)
+                   or real_problem("k_total", k_total)):
+        raise ValidationError(problem)
+    return k_total * _unit_curve(sigma, (float(t),))[0]
 
 
 def expected_bucket_counts(k_total: float, sigma: float, buckets: int) -> list[float]:
     """Per-bucket expected discoveries implied by the model."""
-    if buckets < 1:
-        raise ValidationError(f"buckets must be >= 1, got {show_int(buckets)}")
+    if problem := count_problem("buckets", buckets, least=1, most=MAX_BUCKETS):
+        raise ValidationError(problem)
     edges = [rayleigh_cdf(float(t), k_total, sigma) for t in range(buckets + 1)]
     return [b - a for a, b in zip(edges, edges[1:])]
 
@@ -108,11 +104,13 @@ def fit_arrival(counts: Sequence[float]) -> RayleighFit:
     converges onto either end is reported as non-convergence rather
     than returned as a pretend-optimum.
     """
-    counts = [float(c) for c in counts]
+    # An integer is checked as it is, since it may be past float range.
+    counts = [c if isinstance(c, int) else float(c) for c in counts]
     if len(counts) < 3:
         raise ValidationError(f"fit needs at least 3 buckets, got {len(counts)}")
-    if any(not math.isfinite(c) or c < 0 for c in counts):
+    if any(real_problem("count", c, zero=True) for c in counts):
         raise ValidationError("bucket counts must be finite and >= 0")
+    counts = list(map(float, counts))
     if not any(counts):
         raise ValidationError("fit needs at least one non-zero bucket")
 
@@ -160,8 +158,8 @@ def time_to_threshold(fit: RayleighFit, residual_threshold: float) -> float:
 
     Closed-form inversion: t = sigma * sqrt(2 * ln(K / threshold)).
     """
-    if not math.isfinite(residual_threshold) or residual_threshold <= 0:
-        raise ValidationError(f"residual_threshold must be positive, got {residual_threshold}")
+    if problem := real_problem("residual_threshold", residual_threshold):
+        raise ValidationError(problem)
     if residual_threshold >= fit.k_total:
         raise ValidationError(
             f"residual_threshold {residual_threshold} must be below k_total {fit.k_total}"

@@ -22,10 +22,11 @@ by an observed revision count.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
-from .errors import DivergenceError, ValidationError, Value, check_fraction, count_problem, show_int
+from .errors import (
+    DivergenceError, ValidationError, Value, check_fraction, count_problem, real_problem, show_int
+)
 
 #: Expected residual defects below which a product is signed off.
 SIGNOFF_THRESHOLD = 0.5
@@ -81,8 +82,8 @@ def _check_threshold(threshold: float, problems: list[str]) -> None:
     # value above the threshold, so a convergent process would read as
     # divergent; at or above it, every cell of the published grid signs
     # off within a few thousand revisions, even at MAX_COUNT units.
-    if not math.isfinite(threshold) or threshold <= 0:
-        problems.append(f"threshold must be positive, got {threshold}")
+    if problem := real_problem("threshold", threshold):
+        problems.append(problem)
     elif threshold < sys.float_info.min:
         problems.append(f"threshold must be >= {sys.float_info.min}, got {threshold}")
 
@@ -131,7 +132,7 @@ class RevisionTrajectory(Value):
         problems: list[str] = []
         if not self.expected_defects:
             problems.append("trajectory must hold at least the initial build")
-        if any(d < 0 or not math.isfinite(d) for d in self.expected_defects):
+        if any(real_problem("expected defects", d, zero=True) for d in self.expected_defects):
             problems.append("expected defect counts must be finite and >= 0")
         if self.expected_defects and self.expected_defects[-1] >= self.params.threshold:
             problems.append(
@@ -166,8 +167,8 @@ class McOutcome(Value):
 
     def __post_init__(self) -> None:
         problems: list[str] = []
-        if self.trials < 1:
-            problems.append(f"trials must be >= 1, got {show_int(self.trials)}")
+        if problem := count_problem("trials", self.trials, least=1):
+            problems.append(problem)
         total = sum(self.histogram.values())
         if total != self.trials:
             problems.append(
@@ -234,6 +235,15 @@ def revisions_to_signoff(params: ProcessParams) -> RevisionTrajectory:
     return RevisionTrajectory(params=params, expected_defects=tuple(states))
 
 
+def _check_grid(units: int, threshold: float) -> None:
+    problems: list[str] = []
+    if problem := count_problem("units", units, least=1):
+        problems.append(problem)
+    _check_threshold(threshold, problems)
+    if problems:
+        raise ValidationError("invalid grid parameters", problems)
+
+
 class RevisionGrid(Value):
     """Forecast revision counts over the published grid's rate axes.
 
@@ -247,6 +257,7 @@ class RevisionGrid(Value):
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_grid(self.units, self.threshold)
         if len(self.cells) != len(DEFAULT_REMOVAL_EFFICIENCIES) or any(
             len(row) != len(DEFAULT_INJECTION_RATES) for row in self.cells
         ):
@@ -259,13 +270,7 @@ def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> Revision
     Every rate pair on those axes removes defects on net, so every cell
     signs off (see ``_check_threshold``).
     """
-    problems: list[str] = []
-    if problem := count_problem("units", units, least=1):
-        problems.append(problem)
-    _check_threshold(threshold, problems)
-    if problems:
-        raise ValidationError("invalid grid parameters", problems)
-
+    _check_grid(units, threshold)
     rows = []
     for dre in DEFAULT_REMOVAL_EFFICIENCIES:
         row: list[int] = []
@@ -338,10 +343,8 @@ def simulate_monte_carlo(params: ProcessParams, trials: int, seed: int) -> McOut
     reproduces exactly and memory does not grow with the trial count.
     More than MAX_TRIALS trials is an error.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {show_int(trials)}")
-    if trials > MAX_TRIALS:
-        raise ValidationError(f"trials must be <= {MAX_TRIALS}, got {show_int(trials)}")
+    if problem := count_problem("trials", trials, least=1, most=MAX_TRIALS):
+        raise ValidationError(problem)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {show_int(seed)}")
     import numpy as np  # only the Monte Carlo needs numpy; the other commands start without it
@@ -397,11 +400,9 @@ def infer_efficiency(
     end of the final bracket so that forward-running the result is
     guaranteed to need at most ``revisions`` revisions.
     """
-    problems: list[str] = []
-    if not math.isfinite(initial) or initial <= 0:
-        problems.append(f"initial defects must be positive, got {initial}")
-    if revisions < 2:
-        problems.append(f"revisions must be >= 2, got {show_int(revisions)}")
+    problems = [problem for problem in (
+        real_problem("initial defects", initial), count_problem("revisions", revisions, least=2)
+    ) if problem]
     check_fraction("injection_rate", injection_rate, problems)
     if injection_rate >= 1.0:
         problems.append("injection_rate must be < 1 for any removal to stick")

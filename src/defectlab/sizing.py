@@ -8,10 +8,13 @@ spreadsheet models averaging 2,182 unique formulas and 151 issues.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable, Sequence
 
-from .errors import ValidationError, Value, count_problem, plain_number, show_int, show_value
+from .errors import (
+    ValidationError, Value, count_problem, plain_number, real_problem, show_int, show_value
+)
 
 
 class NegativeInterceptWarning(UserWarning):
@@ -29,7 +32,8 @@ class LinearSizeModel(Value):
     slope: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.intercept) or not math.isfinite(self.slope):
+        # Signed, unlike a real_problem; NaN and integers past float range fail too.
+        if not all(abs(x) <= sys.float_info.max for x in (self.intercept, self.slope)):
             raise ValidationError("model parameters must be finite")
         if self.slope < 0:
             raise ValidationError(f"slope must be >= 0, got {self.slope}")
@@ -41,8 +45,8 @@ class SqrtSizeModel(Value):
     coefficient: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.coefficient) or self.coefficient < 0:
-            raise ValidationError(f"coefficient must be >= 0, got {self.coefficient}")
+        if problem := real_problem("coefficient", self.coefficient, zero=True):
+            raise ValidationError(problem)
 
 
 class SizePoint(Value):

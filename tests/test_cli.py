@@ -901,6 +901,10 @@ CONTRACT_CASES = {
         "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
         "--monte-carlo", "--trials", "1000000000000", "--seed", "1",
     ],
+    "forecast --monte-carlo --trials past MAX_COUNT": lambda t: [
+        "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
+        "--monte-carlo", "--trials", "100000000000000000", "--seed", "1",
+    ],
     "forecast --units beyond float range": lambda t: [
         "forecast", "--units", HUGE, "--dir", "0.07", "--dre", "0.75",
     ],
@@ -1004,6 +1008,10 @@ CONTRACT_STDERR = {
         "error: density of 2 over a size of 1e-310 overflows\n"
     ),
     "report on a ledger with no defects": "error: no defect records to chart\n",
+    # MAX_TRIALS is the cap a trial count is refused by, not MAX_COUNT.
+    "forecast --monte-carlo --trials past MAX_COUNT": (
+        "error: trials must be <= 10000000, got 100000000000000000\n"
+    ),
     # argparse joins unrecognized tokens raw; the message escapes the newline.
     "an unrecognized token holding a newline, forecast": (
         "error: unrecognized arguments: x\\nerror: injected\n"

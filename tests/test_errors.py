@@ -1,6 +1,7 @@
 """Messages show over-long integers by digit count instead of raising, cut
 over-long values, and word a value just outside its range the same way at
-every site that checks that range."""
+every site that checks that range; every public number refuses, with
+ValidationError, a value that it cannot hold."""
 
 from __future__ import annotations
 
@@ -10,24 +11,38 @@ import pytest
 
 from conftest import make_record
 from defectlab import (
+    LinearSizeModel,
+    McOutcome,
     MetricsSummary,
     ProcessParams,
     ProductProfile,
+    RayleighFit,
+    RevisionGrid,
+    RevisionTrajectory,
     SizePoint,
+    SqrtSizeModel,
     ValidationError,
     defect_density,
+    expected_bucket_counts,
+    fit_arrival,
+    infer_efficiency,
     initial_defects,
+    ledger,
     linear_estimate,
     parse_defect_log,
     parse_product_registry,
     parse_scatter,
     parse_series,
+    rayleigh_cdf,
+    remaining_defects,
+    removal_efficiency,
     revision_table,
     simulate_monte_carlo,
     sqrt_estimate,
     summarize,
+    time_to_threshold,
 )
-from defectlab.errors import MAX_COUNT, MAX_SHOWN, _digit_count, show_int, show_value
+from defectlab.errors import MAX_BUCKETS, MAX_COUNT, MAX_SHOWN, _digit_count, show_int, show_value
 
 #: More digits than ``str()`` converts by default (4300).
 LONG = 10**5000
@@ -151,6 +166,8 @@ OUT_OF_RANGE = {case: (call, message) for case, call, message in [
      f"invalid build\n  units {TOO_MANY}"),
     ("grid units over", lambda: revision_table(OVER),
      f"invalid grid parameters\n  units {TOO_MANY}"),
+    ("bucket count over", lambda: expected_bucket_counts(100.0, 3.0, MAX_BUCKETS + 1),
+     f"buckets must be <= {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"),
     ("point issues -1", lambda: SizePoint(uf=1, issues=-1), "issues must be >= 0, got -1"),
     ("point issues over", lambda: SizePoint(uf=1, issues=OVER), f"issues {TOO_MANY}"),
     ("point uf 0", lambda: SizePoint(uf=0, issues=1), "uf must be positive, got 0"),
@@ -187,3 +204,92 @@ def test_a_value_just_outside_its_range_gets_its_message(case):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == message
+
+
+#: Numbers that no count or real parameter holds: past float range either
+#: way, NaN and both infinities.
+UNHELD = {"10**400": 10**400, "-10**400": -10**400,
+          "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+FIT = RayleighFit(k_total=100.0, sigma=3.0, sse=1.0, buckets_used=5)
+
+
+def _with(call, **valid):
+    """``call`` with valid keyword arguments, any of which a case replaces."""
+    return lambda **bad: call(**{**valid, **bad})
+
+
+#: Each public function or value type that takes a number, with its
+#: numeric parameters; seeds, which numpy takes at any size, are left out.
+NUMBER_TAKERS = {
+    "ProductProfile": (_with(ProductProfile, product_id="m1", kloc=1.0),
+                       ("unique_formulas", "kloc", "function_points")),
+    "DefectRecord": (_with(make_record, fixed_offset_h=1.0, fix_changes=1),
+                     ("severity", "fix_changes")),
+    "MetricsSummary": (_with(MetricsSummary, product_id="m1", defect_count=1),
+                       ("defect_count", "density_per_uf", "density_per_kloc",
+                        "injection_rate", "removal_efficiency", "removal_rate")),
+    "defect_density": (_with(defect_density, defects=1, size=1.0), ("defects", "size")),
+    "removal_efficiency": (_with(removal_efficiency, removed_by_process=1, total_present=2),
+                           ("removed_by_process", "total_present")),
+    "RayleighFit": (_with(RayleighFit, k_total=100.0, sigma=3.0, sse=1.0, buckets_used=5),
+                    ("k_total", "sigma", "sse", "buckets_used")),
+    "rayleigh_cdf": (_with(rayleigh_cdf, t=1.0, k_total=100.0, sigma=3.0),
+                     ("t", "k_total", "sigma")),
+    "expected_bucket_counts": (_with(expected_bucket_counts, k_total=100.0, sigma=3.0, buckets=5),
+                               ("k_total", "sigma", "buckets")),
+    "fit_arrival": (lambda count=1: fit_arrival([1, 5, count, 2]), ("count",)),
+    "remaining_defects": (_with(remaining_defects, fit=FIT, t=1.0), ("t",)),
+    "time_to_threshold": (_with(time_to_threshold, fit=FIT, residual_threshold=1.0),
+                          ("residual_threshold",)),
+    "ProcessParams": (_with(ProcessParams, units=2182, injection_rate=0.07,
+                            removal_efficiency=0.75),
+                      ("units", "injection_rate", "removal_efficiency", "threshold")),
+    "RevisionTrajectory": (lambda defects=5.0: RevisionTrajectory(AUDITED, (defects, 0.1)),
+                           ("defects",)),
+    "McOutcome": (_with(McOutcome, trials=3, seed=1, histogram={2: 3}), ("trials", "censored")),
+    "RevisionGrid": (_with(RevisionGrid, units=2000, threshold=0.5,
+                           cells=revision_table(2000).cells),
+                     ("units", "threshold")),
+    "initial_defects": (_with(initial_defects, units=2182, injection_rate=0.07),
+                        ("units", "injection_rate")),
+    "revision_table": (_with(revision_table, units=2000), ("units", "threshold")),
+    "simulate_monte_carlo": (_with(simulate_monte_carlo, params=AUDITED, trials=10, seed=1),
+                             ("trials",)),
+    "infer_efficiency": (_with(infer_efficiency, initial=150.0, revisions=6,
+                               injection_rate=0.07),
+                         ("initial", "revisions", "injection_rate", "threshold")),
+    "LinearSizeModel": (_with(LinearSizeModel, intercept=62.0, slope=0.0408),
+                        ("intercept", "slope")),
+    "SqrtSizeModel": (_with(SqrtSizeModel, coefficient=2.6), ("coefficient",)),
+    "SizePoint": (_with(SizePoint, uf=2182, issues=151), ("uf", "issues")),
+    "linear_estimate": (_with(linear_estimate, uf=2182), ("uf",)),
+    "sqrt_estimate": (_with(sqrt_estimate, uf=2182), ("uf",)),
+}
+
+
+def _unheld_cases():
+    for name, (call, parameters) in NUMBER_TAKERS.items():
+        for parameter in parameters:
+            for shown, value in UNHELD.items():
+                # Buckets are capped far below 10**400, which would take
+                # until memory runs out to refuse if they were not.
+                if parameter == "buckets" and shown == "10**400":
+                    shown, value = "MAX_BUCKETS + 1", MAX_BUCKETS + 1
+                yield pytest.param(call, parameter, value, id=f"{name} {parameter} {shown}")
+
+
+def test_the_valid_calls_of_the_number_table_succeed():
+    for call, _parameters in NUMBER_TAKERS.values():
+        call()
+
+
+@pytest.mark.parametrize(("call", "parameter", "value"), _unheld_cases())
+def test_every_public_number_refuses_what_it_cannot_hold(call, parameter, value):
+    with pytest.raises(ValidationError):
+        call(**{parameter: value})
+
+
+def test_expected_bucket_counts_takes_as_many_buckets_as_a_series_holds():
+    assert ledger.MAX_BUCKETS == MAX_BUCKETS
+    assert len(expected_bucket_counts(100.0, 3.0, MAX_BUCKETS)) == MAX_BUCKETS

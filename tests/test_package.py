@@ -153,3 +153,40 @@ def test_every_readme_synopsis_flag_exists():
         for flag in re.findall(r"--[\w-]+", line.split("#", 1)[0]) if flag not in flags[command]
     ]
     assert unknown == []
+
+
+#: The functions outside errors.py that may test a number with
+#: ``math.isfinite``: each tests a value that is not an argument's range,
+#: a computed density and a day offset of either sign.
+ISFINITE_SITES = {("metrics.py", "defect_density"), ("ledger.py", "_series_row")}
+
+
+def _isfinite_calls(tree: ast.Module) -> set[str]:
+    """The names of the functions in ``tree`` that call ``isfinite``, by
+    either ``math.isfinite`` or a bare imported name; ``<module>`` for a
+    call outside any function."""
+    sites = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", function))
+                continue
+            if isinstance(child, ast.Call) and (
+                getattr(child.func, "attr", None) == "isfinite"
+                or getattr(child.func, "id", None) == "isfinite"
+            ):
+                sites.add(function)
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_numeric_ranges_are_tested_in_errors_alone():
+    sites = {
+        (path.name, function)
+        for path in Path(defectlab.__file__).parent.glob("*.py") if path.name != "errors.py"
+        for function in _isfinite_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sites <= ISFINITE_SITES
