@@ -4,8 +4,10 @@
 
 For each row count, ``perfbench/gen.py --seed 1`` writes the inputs
 once.  Then every command kind of ``perfbench/run.py``'s ``script()``,
-followed by the CSV forms of ``metrics`` and ``forecast --table`` and
-by ``report --product p07 --bucket-days 1``, runs as ``python -m
+followed by the CSV forms of ``metrics`` and ``forecast --table``, by
+``report --product p07 --bucket-days 1``, and by two ``forecast``
+commands refused for several flags at once, whose one ``error:`` line
+lists every problem, runs as ``python -m
 defectlab`` in PARENT, in order, and again in CHANGE, each with that
 checkout's ``src`` on ``PYTHONPATH``.  Both sides read the same input
 paths and write to the same output paths, since ``ingest`` and
@@ -91,9 +93,9 @@ def compare(parent: Path, change: Path, rows: int, work: Path) -> list[str]:
     commands = runner.script(runner.Workload(rows=rows, mc_trials=MC_TRIALS), inputs, outputs,
                              SEED)
     # The benchmark runs the first two commands in their JSON form only,
-    # and ``report`` only over all products at 7-day buckets, where the
-    # overlay has a few dozen points.  The ledger is the one its
-    # ``ingest`` wrote.
+    # ``report`` only over all products at 7-day buckets, where the
+    # overlay has a few dozen points, and no refusal that lists several
+    # problems.  The ledger is the one its ``ingest`` wrote.
     ledger = f"{outputs}/ledger.json"
     commands += [
         runner.Command("metrics_csv", ("metrics", "--ledger", ledger, "--format", "csv"), 0),
@@ -102,6 +104,11 @@ def compare(parent: Path, change: Path, rows: int, work: Path) -> list[str]:
         runner.Command("report_p07_daily",
                        ("report", "--ledger", ledger, "--svg", f"{outputs}/p07.svg",
                         "--product", "p07", "--bucket-days", "1"), 0),
+        runner.Command("forecast_refused",
+                       ("forecast", "--units", "0", "--dir", "2", "--dre", "nan",
+                        "--threshold", "1e-320"), 1),
+        runner.Command("forecast_table_refused",
+                       ("forecast", "--units", "0", "--table", "--threshold", "0"), 1),
     ]
     return differences(run_side(parent, commands, outputs), run_side(change, commands, outputs))
 

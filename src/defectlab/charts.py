@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from html import escape
 
-from .errors import ValidationError
+from .errors import ValidationError, real_problem
 
 WIDTH = 640
 HEIGHT = 400
@@ -33,6 +33,10 @@ def arrival_chart(
     """Bar chart of per-bucket discoveries, optional fitted overlay."""
     if not counts:
         raise ValidationError("arrival chart needs at least one bucket")
+    if any(real_problem("count", c, zero=True) for c in counts):
+        raise ValidationError("bucket counts must be finite and >= 0")
+    if any(real_problem("fitted", f, zero=True) for f in fitted or ()):
+        raise ValidationError("fitted values must be finite and >= 0")
     x_max = float(len(counts))
     peak = float(max(max(counts), max(fitted) if fitted else 0.0))
     y_max = peak if peak > 0 else 1.0

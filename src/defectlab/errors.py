@@ -1,6 +1,8 @@
 """Exception types, input bounds and the frozen value base shared across
 the package.  Each kind of number, a count, a fraction or a real, has one
-range check here, which also words its message."""
+range check here, which words its message and returns it, or None when
+the value is in range; :func:`refuse` raises the problems a site found,
+all of them at once."""
 
 from __future__ import annotations
 
@@ -46,10 +48,11 @@ def plain_number(kind: type[int] | type[float], text: str) -> int | float:
     raise ValueError(text)
 
 
-def check_fraction(name: str, value: float, problems: list[str]) -> None:
-    """Add a problem unless ``value`` is within [0, 1], which no NaN is."""
+def fraction_problem(name: str, value: float) -> str | None:
+    """The problem with a value outside [0, 1], as NaN is, or None."""
     if not 0.0 <= value <= 1.0:
-        problems.append(f"{name} must be within [0, 1], got {show_int(value)}")
+        return f"{name} must be within [0, 1], got {show_int(value)}"
+    return None
 
 
 def show_int(value: int) -> str:
@@ -109,6 +112,13 @@ class ValidationError(DefectLabError, ValueError):
         if self.diagnostics:
             message = message + "\n" + "\n".join(f"  {d}" for d in self.diagnostics)
         super().__init__(message)
+
+
+def refuse(what: str, *problems: str | None) -> None:
+    """Raise a ValidationError headed ``what`` that lists, in order, each
+    of ``problems`` that is not None, if there is any."""
+    if found := [problem for problem in problems if problem is not None]:
+        raise ValidationError(what, found)
 
 
 class DivergenceError(DefectLabError, ArithmeticError):

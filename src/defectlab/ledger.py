@@ -26,7 +26,7 @@ from typing import TypeVar
 
 from .errors import (
     MAX_BUCKETS, MAX_COUNT, ValidationError, Value, count_problem, cut, plain_number,
-    real_problem, show_int, show_value,
+    real_problem, refuse, show_int, show_value,
 )
 
 T = TypeVar("T")
@@ -260,22 +260,18 @@ class ProductProfile(Value):
 
     def __post_init__(self) -> None:
         sizes = self._asdict()  # every field, until the two that are not sizes leave
-        if problems := _type_problems(sizes, sizes.values(), _PROFILE_TYPES):
-            raise ValidationError("invalid product profile", problems)
+        refuse("invalid product profile", *_type_problems(sizes, sizes.values(), _PROFILE_TYPES))
         product_id = sizes.pop("product_id")
         del sizes["description"]
-        if not product_id:
-            problems.append("product_id must be non-empty")
-        if all(s is None for s in sizes.values()):
-            problems.append("at least one size measure is required")
-        for name, value in sizes.items():
-            if value is None:
-                continue
-            if problem := (count_problem(name, value) if type(value) is int and value > 0
-                           else real_problem(f"{name}: size", value)):
-                problems.append(problem)
-        if problems:
-            raise ValidationError(f"invalid product profile {show_value(product_id)}", problems)
+        refuse(
+            f"invalid product profile {show_value(product_id)}",
+            None if product_id else "product_id must be non-empty",
+            "at least one size measure is required"
+            if all(s is None for s in sizes.values()) else None,
+            *(count_problem(name, value) if type(value) is int and value > 0
+              else real_problem(f"{name}: size", value)
+              for name, value in sizes.items() if value is not None),
+        )
         if type(self.kloc) is int:  # held to MAX_COUNT above, so exact as a float
             self.__dict__["kloc"] = float(self.kloc)
 
@@ -320,8 +316,7 @@ def read_csv_table(
             decoded.append(decode([field.strip() for field in row]))
         except ValidationError as exc:
             diagnostics.extend(f"row {row_no}: {d}" for d in exc.diagnostics or (str(exc),))
-    if diagnostics:
-        raise ValidationError(f"{what} failed validation", diagnostics)
+    refuse(f"{what} failed validation", *diagnostics)
     return decoded
 
 
@@ -542,8 +537,7 @@ def parse_product_registry(text: str) -> list[ProductProfile]:
     diagnostics: list[str] = []
     seen: set[str] = set()
     profiles = _decode_each(data, "entry {}", lambda e: _profile_from_dict(e, seen), diagnostics)
-    if diagnostics:
-        raise ValidationError("product registry failed validation", diagnostics)
+    refuse("product registry failed validation", *diagnostics)
     return profiles
 
 
@@ -563,8 +557,7 @@ def build_ledger(
             _admit(record, seen, known)
         except ValidationError as exc:
             diagnostics.append(str(exc))
-    if diagnostics:
-        raise ValidationError("ledger failed validation", diagnostics)
+    refuse("ledger failed validation", *diagnostics)
     return {
         "products": [p._asdict() for p in profiles],
         "defects": [_record_to_dict(r) for r in records],
@@ -597,8 +590,7 @@ def load_ledger(text: str) -> tuple[list[ProductProfile], list[DefectRecord]]:
         lambda e: _admit(_record_from_values(_entry_values(e), names), seen_ids, known),
         diagnostics,
     )
-    if diagnostics:
-        raise ValidationError("ledger failed validation", diagnostics)
+    refuse("ledger failed validation", *diagnostics)
     return profiles, records
 
 

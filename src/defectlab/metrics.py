@@ -16,7 +16,8 @@ from collections.abc import Iterable, Sequence
 from datetime import timedelta
 
 from .errors import (
-    ValidationError, Value, check_fraction, count_problem, real_problem, show_int, show_value
+    ValidationError, Value, count_problem, fraction_problem, real_problem, refuse, show_int,
+    show_value,
 )
 from .ledger import DefectRecord, ProductProfile
 
@@ -47,19 +48,16 @@ class MetricsSummary(Value):
     removal_rate: float | None = None
 
     def __post_init__(self) -> None:
-        problems = []
-        if problem := count_problem("defect_count", self.defect_count):
-            problems.append(problem)
-        for name in ("injection_rate", "removal_efficiency"):
-            if (value := getattr(self, name)) is not None:
-                check_fraction(name, value, problems)
-        for name in ("density_per_uf", "density_per_kloc", "removal_rate"):
-            value = getattr(self, name)
-            if value is not None and (problem := real_problem(name, value, zero=True)):
-                problems.append(problem)
-        if problems:
-            product = show_value(self.product_id)
-            raise ValidationError(f"invalid metrics summary for {product}", problems)
+        values = self._asdict()
+        refuse(
+            f"invalid metrics summary for {show_value(self.product_id)}",
+            count_problem("defect_count", self.defect_count),
+            *(fraction_problem(name, values[name])
+              for name in ("injection_rate", "removal_efficiency") if values[name] is not None),
+            *(real_problem(name, values[name], zero=True)
+              for name in ("density_per_uf", "density_per_kloc", "removal_rate")
+              if values[name] is not None),
+        )
 
 
 def defect_density(defects: int, size: float) -> float:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Sequence
 
 from .errors import (
-    MAX_BUCKETS, NonConvergenceError, ValidationError, Value, count_problem, real_problem
+    MAX_BUCKETS, MAX_COUNT, NonConvergenceError, ValidationError, Value, count_problem,
+    real_problem, refuse,
 )
 
 #: Fraction of lifetime defects discovered by t = sigma: 1 - e^(-1/2).
@@ -33,6 +35,16 @@ SIGMA_SPAN_FACTOR = 3.0
 
 #: Relative width at which the sigma search stops.
 DEFAULT_REL_TOL = 1e-6
+
+
+def _sigma_problem(sigma: float) -> str | None:
+    # The curve's scale, 2*sigma*sigma, must be a normal float: from
+    # about 1e-162 down it is 0, and evaluating the curve divides by it.
+    if problem := real_problem("sigma", sigma):
+        return problem
+    if 2.0 * sigma * sigma < sys.float_info.min:
+        return f"sigma must be >= {math.sqrt(sys.float_info.min / 2)}, got {sigma}"
+    return None
 
 
 class RayleighFit(Value):
@@ -50,14 +62,13 @@ class RayleighFit(Value):
     buckets_used: int
 
     def __post_init__(self) -> None:
-        problems = [problem for problem in (
+        refuse(
+            "invalid arrival fit",
             real_problem("k_total", self.k_total),
-            real_problem("sigma", self.sigma),
+            _sigma_problem(self.sigma),
             real_problem("sse", self.sse, zero=True),
             count_problem("buckets_used", self.buckets_used, least=3),
-        ) if problem]
-        if problems:
-            raise ValidationError("invalid arrival fit", problems)
+        )
 
 
 def _unit_curve(sigma: float, times: Iterable[float]) -> list[float]:
@@ -68,7 +79,7 @@ def _unit_curve(sigma: float, times: Iterable[float]) -> list[float]:
 
 def rayleigh_cdf(t: float, k_total: float, sigma: float) -> float:
     """Cumulative defects discovered by time t."""
-    if problem := (real_problem("t", t, zero=True) or real_problem("sigma", sigma)
+    if problem := (real_problem("t", t, zero=True) or _sigma_problem(sigma)
                    or real_problem("k_total", k_total)):
         raise ValidationError(problem)
     return k_total * _unit_curve(sigma, (float(t),))[0]
@@ -110,6 +121,10 @@ def fit_arrival(counts: Sequence[float]) -> RayleighFit:
         raise ValidationError(f"fit needs at least 3 buckets, got {len(counts)}")
     if any(real_problem("count", c, zero=True) for c in counts):
         raise ValidationError("bucket counts must be finite and >= 0")
+    # Past this cap, the one series files hold counts to, the squared
+    # residuals can leave float range, where ** raises.
+    if any(c > MAX_COUNT for c in counts):
+        raise ValidationError(f"bucket counts must be <= {MAX_COUNT}")
     counts = list(map(float, counts))
     if not any(counts):
         raise ValidationError("fit needs at least one non-zero bucket")

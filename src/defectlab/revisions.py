@@ -25,7 +25,8 @@ import json
 import sys
 
 from .errors import (
-    DivergenceError, ValidationError, Value, check_fraction, count_problem, real_problem, show_int
+    DivergenceError, ValidationError, Value, count_problem, fraction_problem, real_problem, refuse,
+    show_int,
 )
 
 #: Expected residual defects below which a product is signed off.
@@ -77,15 +78,16 @@ PUBLISHED_REVISIONS = (
 )
 
 
-def _check_threshold(threshold: float, problems: list[str]) -> None:
+def _threshold_problem(threshold: float) -> str | None:
     # Below the smallest normal float the decay can stall at a subnormal
     # value above the threshold, so a convergent process would read as
     # divergent; at or above it, every cell of the published grid signs
     # off within a few thousand revisions, even at MAX_COUNT units.
     if problem := real_problem("threshold", threshold):
-        problems.append(problem)
-    elif threshold < sys.float_info.min:
-        problems.append(f"threshold must be >= {sys.float_info.min}, got {threshold}")
+        return problem
+    if threshold < sys.float_info.min:
+        return f"threshold must be >= {sys.float_info.min}, got {threshold}"
+    return None
 
 
 class ProcessParams(Value):
@@ -103,14 +105,13 @@ class ProcessParams(Value):
     threshold: float = SIGNOFF_THRESHOLD
 
     def __post_init__(self) -> None:
-        problems: list[str] = []
-        if problem := count_problem("units", self.units, least=1):
-            problems.append(problem)
-        check_fraction("injection_rate", self.injection_rate, problems)
-        check_fraction("removal_efficiency", self.removal_efficiency, problems)
-        _check_threshold(self.threshold, problems)
-        if problems:
-            raise ValidationError("invalid process parameters", problems)
+        refuse(
+            "invalid process parameters",
+            count_problem("units", self.units, least=1),
+            fraction_problem("injection_rate", self.injection_rate),
+            fraction_problem("removal_efficiency", self.removal_efficiency),
+            _threshold_problem(self.threshold),
+        )
 
 
 class RevisionTrajectory(Value):
@@ -129,22 +130,19 @@ class RevisionTrajectory(Value):
         return len(self.expected_defects)
 
     def __post_init__(self) -> None:
-        problems: list[str] = []
-        if not self.expected_defects:
-            problems.append("trajectory must hold at least the initial build")
-        if any(real_problem("expected defects", d, zero=True) for d in self.expected_defects):
-            problems.append("expected defect counts must be finite and >= 0")
-        if self.expected_defects and self.expected_defects[-1] >= self.params.threshold:
-            problems.append(
-                f"last expected count {self.expected_defects[-1]} has not "
-                f"reached threshold {self.params.threshold}"
-            )
-        if self.params.removal_efficiency * (1.0 - self.params.injection_rate) > 0.0:
-            pairs = zip(self.expected_defects, self.expected_defects[1:])
-            if any(later >= earlier for earlier, later in pairs):
-                problems.append("expected defects must strictly decrease")
-        if problems:
-            raise ValidationError("invalid revision trajectory", problems)
+        states, params = self.expected_defects, self.params
+        removes = params.removal_efficiency * (1.0 - params.injection_rate) > 0.0
+        refuse(
+            "invalid revision trajectory",
+            None if states else "trajectory must hold at least the initial build",
+            "expected defect counts must be finite and >= 0"
+            if any(real_problem("expected defects", d, zero=True) for d in states) else None,
+            f"last expected count {states[-1]} has not reached threshold {params.threshold}"
+            if states and states[-1] >= params.threshold else None,
+            "expected defects must strictly decrease"
+            if removes and any(later >= earlier for earlier, later in zip(states, states[1:]))
+            else None,
+        )
 
 
 class McOutcome(Value):
@@ -166,29 +164,24 @@ class McOutcome(Value):
         return sum(k * v for k, v in self.histogram.items()) / self.trials
 
     def __post_init__(self) -> None:
-        problems: list[str] = []
-        if problem := count_problem("trials", self.trials, least=1):
-            problems.append(problem)
         total = sum(self.histogram.values())
-        if total != self.trials:
-            problems.append(
-                f"histogram frequencies sum to {show_int(total)}, "
-                f"expected {show_int(self.trials)}"
-            )
-        if not 0 <= self.censored <= self.trials:
-            problems.append(f"censored must be within 0..trials, got {show_int(self.censored)}")
-        if problems:
-            raise ValidationError("invalid Monte Carlo outcome", problems)
+        refuse(
+            "invalid Monte Carlo outcome",
+            count_problem("trials", self.trials, least=1),
+            f"histogram frequencies sum to {show_int(total)}, expected {show_int(self.trials)}"
+            if total != self.trials else None,
+            None if 0 <= self.censored <= self.trials
+            else f"censored must be within 0..trials, got {show_int(self.censored)}",
+        )
 
 
 def initial_defects(units: int, injection_rate: float) -> float:
     """Expected defects planted by the initial build: units x rate."""
-    problems: list[str] = []
-    if problem := count_problem("units", units, least=1):
-        problems.append(problem)
-    check_fraction("injection_rate", injection_rate, problems)
-    if problems:
-        raise ValidationError("invalid build", problems)
+    refuse(
+        "invalid build",
+        count_problem("units", units, least=1),
+        fraction_problem("injection_rate", injection_rate),
+    )
     return units * injection_rate
 
 
@@ -236,12 +229,11 @@ def revisions_to_signoff(params: ProcessParams) -> RevisionTrajectory:
 
 
 def _check_grid(units: int, threshold: float) -> None:
-    problems: list[str] = []
-    if problem := count_problem("units", units, least=1):
-        problems.append(problem)
-    _check_threshold(threshold, problems)
-    if problems:
-        raise ValidationError("invalid grid parameters", problems)
+    refuse(
+        "invalid grid parameters",
+        count_problem("units", units, least=1),
+        _threshold_problem(threshold),
+    )
 
 
 class RevisionGrid(Value):
@@ -268,7 +260,7 @@ def revision_table(units: int, threshold: float = SIGNOFF_THRESHOLD) -> Revision
     """Forecast every cell of the published grid's axes for one build.
 
     Every rate pair on those axes removes defects on net, so every cell
-    signs off (see ``_check_threshold``).
+    signs off (see ``_threshold_problem``).
     """
     _check_grid(units, threshold)
     rows = []
@@ -400,15 +392,14 @@ def infer_efficiency(
     end of the final bracket so that forward-running the result is
     guaranteed to need at most ``revisions`` revisions.
     """
-    problems = [problem for problem in (
-        real_problem("initial defects", initial), count_problem("revisions", revisions, least=2)
-    ) if problem]
-    check_fraction("injection_rate", injection_rate, problems)
-    if injection_rate >= 1.0:
-        problems.append("injection_rate must be < 1 for any removal to stick")
-    _check_threshold(threshold, problems)
-    if problems:
-        raise ValidationError("invalid inverse-estimation inputs", problems)
+    refuse(
+        "invalid inverse-estimation inputs",
+        real_problem("initial defects", initial),
+        count_problem("revisions", revisions, least=2),
+        fraction_problem("injection_rate", injection_rate),
+        "injection_rate must be < 1 for any removal to stick" if injection_rate >= 1.0 else None,
+        _threshold_problem(threshold),
+    )
 
     def achieves(dre: float) -> bool:
         try:

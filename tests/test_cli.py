@@ -839,6 +839,9 @@ CONTRACT_CASES = {
     "subnormal threshold, forecast": lambda t: [
         "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.3", "--threshold", "5e-324",
     ],
+    "four problems, forecast": lambda t: [
+        "forecast", "--units", "0", "--dir", "2", "--dre", "nan", "--threshold", "1e-320",
+    ],
     "subnormal threshold, forecast --table": lambda t: [
         "forecast", "--units", "2000", "--table", "--threshold", "5e-324",
     ],
@@ -990,6 +993,14 @@ def test_bucket_days_is_checked_before_the_input_is_read(tmp_path, capsys, comma
 #: The whole stderr of the contract cases whose message is pinned.
 CONTRACT_STDERR = {
     "forecast --units 0 --table": "error: invalid grid parameters\n  units must be >= 1, got 0\n",
+    # Every problem with the flags, listed in the order they are checked.
+    "four problems, forecast": (
+        "error: invalid process parameters\n"
+        "  units must be >= 1, got 0\n"
+        "  injection_rate must be within [0, 1], got 2.0\n"
+        "  removal_efficiency must be within [0, 1], got nan\n"
+        "  threshold must be >= 2.2250738585072014e-308, got 1e-320\n"
+    ),
     # Flags that the chosen mode would otherwise ignore.
     "forecast --trials and --seed without --monte-carlo": (
         "error: --trials and --seed apply only to --monte-carlo\n"

@@ -56,3 +56,22 @@ def test_a_changed_csv_form_is_reported(tmp_path):
         ["rows 300", "forecast_table_csv", "stdout"], ["rows 300", "metrics_csv", "stdout"],
     ]
     assert total == "rows 300: 2 difference(s)"
+
+
+def test_a_changed_refusal_is_reported(tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(REPO / "src", change / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    module = change / "src" / "defectlab" / "revisions.py"
+    text = module.read_text(encoding="utf-8")
+    for old in ('"invalid process parameters"', '"invalid grid parameters"'):
+        assert text.count(old) == 1
+        text = text.replace(old, old.replace("invalid", "bad"))
+    module.write_text(text, encoding="utf-8")
+    done = _compare(REPO, change)
+    assert done.returncode == 1, done.stdout + done.stderr
+    *found, total = done.stdout.splitlines()
+    assert [line.split(": ")[:3] for line in found] == [
+        ["rows 300", "forecast_refused", "stderr"],
+        ["rows 300", "forecast_table_refused", "stderr"],
+    ]
+    assert total == "rows 300: 2 difference(s)"

@@ -1,11 +1,13 @@
 """Messages show over-long integers by digit count instead of raising, cut
 over-long values, and word a value just outside its range the same way at
-every site that checks that range; every public number refuses, with
+every site that checks that range; a site that finds several problems lists
+them all, in the order it checks them; every public number refuses, with
 ValidationError, a value that it cannot hold."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -22,6 +24,8 @@ from defectlab import (
     SizePoint,
     SqrtSizeModel,
     ValidationError,
+    arrival_chart,
+    build_ledger,
     defect_density,
     expected_bucket_counts,
     fit_arrival,
@@ -29,6 +33,7 @@ from defectlab import (
     initial_defects,
     ledger,
     linear_estimate,
+    load_ledger,
     parse_defect_log,
     parse_product_registry,
     parse_scatter,
@@ -130,6 +135,8 @@ def test_decoder_messages_cut_an_over_long_value(case, call):
 
 #: Just past the top of a count's range, which MAX_COUNT bounds everywhere.
 OVER = MAX_COUNT + 1
+#: The least sigma whose 2*sigma*sigma is a normal float.
+SIGMA_LEAST = math.sqrt(sys.float_info.min / 2)
 TOO_MANY = f"must be <= {MAX_COUNT}, got {OVER}"
 NOT_A_COUNT = f"must be <= {MAX_COUNT}, got nan"
 PROCESS = "invalid process parameters\n  units"
@@ -195,6 +202,24 @@ OUT_OF_RANGE = {case: (call, message) for case, call, message in [
                                                      **{rate: value}),
        f"{SUMMARY}{rate} must be within [0, 1], got {value}")
       for rate in ("injection_rate", "removal_efficiency") for value in (math.nan, 1.5)),
+    # 2*sigma*sigma, the curve's scale, below the smallest normal float.
+    ("fit sigma subnormal", lambda: RayleighFit(100.0, 1e-320, 1.0, 5),
+     f"invalid arrival fit\n  sigma must be >= {SIGMA_LEAST}, got 1e-320"),
+    ("cdf sigma 1e-200", lambda: rayleigh_cdf(1.0, 100.0, 1e-200),
+     f"sigma must be >= {SIGMA_LEAST}, got 1e-200"),
+    ("bucket counts sigma subnormal", lambda: expected_bucket_counts(100.0, 1e-320, 5),
+     f"sigma must be >= {SIGMA_LEAST}, got 1e-320"),
+    # Past the cap that series files hold counts to.
+    ("fit count 1e300", lambda: fit_arrival([1.0, 1e300, 2.0]),
+     f"bucket counts must be <= {MAX_COUNT}"),
+    ("fit count 10**300", lambda: fit_arrival([1, 5, 10**300, 2]),
+     f"bucket counts must be <= {MAX_COUNT}"),
+    ("fit count over", lambda: fit_arrival([1, 5, OVER, 2]),
+     f"bucket counts must be <= {MAX_COUNT}"),
+    ("chart count nan", lambda: arrival_chart([1, math.nan]),
+     "bucket counts must be finite and >= 0"),
+    ("chart fitted inf", lambda: arrival_chart([1, 2], fitted=[1.0, math.inf]),
+     "fitted values must be finite and >= 0"),
 ]}
 
 
@@ -204,6 +229,102 @@ def test_a_value_just_outside_its_range_gets_its_message(case):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_the_least_sigma_is_where_its_scale_leaves_normal_floats():
+    assert 2.0 * SIGMA_LEAST * SIGMA_LEAST >= sys.float_info.min
+    below = math.nextafter(SIGMA_LEAST, 0.0)
+    assert 2.0 * below * below < sys.float_info.min
+    assert RayleighFit(100.0, SIGMA_LEAST, 1.0, 5).sigma == SIGMA_LEAST
+    with pytest.raises(ValidationError, match=f"sigma must be >= {SIGMA_LEAST}, got {below}"):
+        RayleighFit(100.0, below, 1.0, 5)
+
+
+def test_a_count_at_the_cap_is_fitted():
+    fit = fit_arrival([MAX_COUNT // 4, MAX_COUNT, MAX_COUNT // 2, 1])
+    assert fit.k_total > MAX_COUNT
+
+
+#: A call that finds several problems at once, by the site that lists
+#: them, and its whole message: each problem, in the order it is checked.
+MANY_PROBLEMS = {case: (call, message) for case, call, message in [
+    ("ProcessParams", lambda: ProcessParams(0, 2.0, math.nan, 1e-320),
+     "invalid process parameters\n  units must be >= 1, got 0\n"
+     "  injection_rate must be within [0, 1], got 2.0\n"
+     "  removal_efficiency must be within [0, 1], got nan\n"
+     "  threshold must be >= 2.2250738585072014e-308, got 1e-320"),
+    ("RevisionTrajectory empty", lambda: RevisionTrajectory(AUDITED, ()),
+     "invalid revision trajectory\n  trajectory must hold at least the initial build"),
+    ("RevisionTrajectory", lambda: RevisionTrajectory(AUDITED, (math.nan, 5.0, 6.0)),
+     "invalid revision trajectory\n  expected defect counts must be finite and >= 0\n"
+     "  last expected count 6.0 has not reached threshold 0.5\n"
+     "  expected defects must strictly decrease"),
+    ("McOutcome", lambda: McOutcome(trials=0, seed=1, histogram={1: 2}, censored=5),
+     "invalid Monte Carlo outcome\n  trials must be >= 1, got 0\n"
+     "  histogram frequencies sum to 2, expected 0\n  censored must be within 0..trials, got 5"),
+    ("initial_defects", lambda: initial_defects(0, 1.5),
+     "invalid build\n  units must be >= 1, got 0\n  injection_rate must be within [0, 1], got 1.5"),
+    ("RevisionGrid", lambda: RevisionGrid(0, 0.0, ()),
+     "invalid grid parameters\n  units must be >= 1, got 0\n  threshold must be positive, got 0.0"),
+    ("revision_table", lambda: revision_table(0, 0.0),
+     "invalid grid parameters\n  units must be >= 1, got 0\n  threshold must be positive, got 0.0"),
+    ("infer_efficiency", lambda: infer_efficiency(math.nan, 1, 1.5, -1.0),
+     "invalid inverse-estimation inputs\n  initial defects must be positive, got nan\n"
+     "  revisions must be >= 2, got 1\n  injection_rate must be within [0, 1], got 1.5\n"
+     "  injection_rate must be < 1 for any removal to stick\n"
+     "  threshold must be positive, got -1.0"),
+    ("MetricsSummary", lambda: MetricsSummary("m1", -1, -1.0, math.inf, 1.5, math.nan, -0.5),
+     f"{SUMMARY}defect_count must be >= 0, got -1\n"
+     "  injection_rate must be within [0, 1], got 1.5\n"
+     "  removal_efficiency must be within [0, 1], got nan\n"
+     "  density_per_uf must be >= 0, got -1.0\n  density_per_kloc must be >= 0, got inf\n"
+     "  removal_rate must be >= 0, got -0.5"),
+    ("RayleighFit", lambda: RayleighFit(0.0, math.nan, -1.0, 2),
+     "invalid arrival fit\n  k_total must be positive, got 0.0\n"
+     "  sigma must be positive, got nan\n  sse must be >= 0, got -1.0\n"
+     "  buckets_used must be >= 3, got 2"),
+    ("ProductProfile types", lambda: ProductProfile(1, 1.5, "x", True, None),
+     "invalid product profile\n  product_id must be str, got int\n"
+     "  unique_formulas must be int or null, got float\n"
+     "  kloc must be float or int or null, got str\n"
+     "  function_points must be int or null, got bool\n  description must be str, got null"),
+    ("ProductProfile", lambda: ProductProfile("", None, None, None),
+     "invalid product profile ''\n  product_id must be non-empty\n"
+     "  at least one size measure is required"),
+    ("ProductProfile sizes", lambda: ProductProfile("", 0, -1.0, 10**20),
+     "invalid product profile ''\n  product_id must be non-empty\n"
+     "  unique_formulas: size must be positive, got 0\n  kloc: size must be positive, got -1.0\n"
+     f"  function_points must be <= {MAX_COUNT}, got {10**20}"),
+    ("read_csv_table", lambda: parse_defect_log(
+        f"{','.join(ledger.DEFECT_CSV_COLUMNS)}\n1,2\nd1,p1,design,review,x,,1,open,\n"
+    ), "defect log failed validation\n  row 1: expected 9 fields, got 2\n"
+       "  row 2: invalid timestamp 'x'"),
+    ("parse_product_registry", lambda: parse_product_registry(
+        '[{"product_id": "a", "kloc": 0}, 3, {"product_id": "a", "kloc": 1},'
+        ' {"product_id": "a", "kloc": 1}]'
+    ), "product registry failed validation\n  entry 0: kloc: size must be positive, got 0\n"
+       "  entry 1: expected an object\n  entry 3: duplicate product_id 'a'"),
+    ("build_ledger", lambda: build_ledger(
+        [ProductProfile("m1", kloc=1.0)],
+        [make_record(rid="d1"), make_record(rid="d2", product_id="p2"), make_record(rid="d1")],
+    ), "ledger failed validation\n  defect 'd2' references unknown product 'p2'\n"
+       "  duplicate defect id 'd1'"),
+    ("load_ledger", lambda: load_ledger(
+        '{"products": [{"product_id": "m1", "kloc": 0}, {"product_id": "m2", "kloc": 1}],'
+        ' "defects": [3, {"id": 1}]}'
+    ), "ledger failed validation\n  products[0]: kloc: size must be positive, got 0\n"
+       "  defects[0]: expected an object\n  defects[1]: defect entry missing keys: product_id, "
+       "phase_injected, phase_found, found_at, fixed_at, severity, status, fix_changes"),
+]}
+
+
+@pytest.mark.parametrize("case", MANY_PROBLEMS)
+def test_several_problems_are_listed_together_in_order(case):
+    call, message = MANY_PROBLEMS[case]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+    assert err.value.diagnostics == tuple(line[2:] for line in message.split("\n")[1:])
 
 
 #: Numbers that no count or real parameter holds: past float range either
@@ -239,6 +360,8 @@ NUMBER_TAKERS = {
     "expected_bucket_counts": (_with(expected_bucket_counts, k_total=100.0, sigma=3.0, buckets=5),
                                ("k_total", "sigma", "buckets")),
     "fit_arrival": (lambda count=1: fit_arrival([1, 5, count, 2]), ("count",)),
+    "arrival_chart": (lambda count=1, fitted=1.0: arrival_chart([2, count], [1.5, fitted]),
+                      ("count", "fitted")),
     "remaining_defects": (_with(remaining_defects, fit=FIT, t=1.0), ("t",)),
     "time_to_threshold": (_with(time_to_threshold, fit=FIT, residual_threshold=1.0),
                           ("residual_threshold",)),

@@ -161,32 +161,75 @@ def test_every_readme_synopsis_flag_exists():
 ISFINITE_SITES = {("metrics.py", "defect_density"), ("ledger.py", "_series_row")}
 
 
-def _isfinite_calls(tree: ast.Module) -> set[str]:
-    """The names of the functions in ``tree`` that call ``isfinite``, by
-    either ``math.isfinite`` or a bare imported name; ``<module>`` for a
-    call outside any function."""
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call calls, whether bare or as an attribute, as in
+    ``isfinite`` or ``math.isfinite``."""
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+
+
+def _calling_functions(tree: ast.Module, matches) -> set[str]:
+    """The qualified names (``Class.method`` for a method) of the functions
+    in ``tree`` that make a call that ``matches`` accepts; ``<module>`` for
+    a call outside any function.  A lambda's calls are its function's."""
     sites = set()
 
-    def visit(node: ast.AST, function: str) -> None:
+    def visit(node: ast.AST, function: str, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", function))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                visit(child, function if isinstance(child, ast.ClassDef) else name, f"{name}.")
                 continue
-            if isinstance(child, ast.Call) and (
-                getattr(child.func, "attr", None) == "isfinite"
-                or getattr(child.func, "id", None) == "isfinite"
-            ):
+            if isinstance(child, ast.Call) and matches(child):
                 sites.add(function)
-            visit(child, function)
+            visit(child, function, prefix)
 
-    visit(tree, "<module>")
+    visit(tree, "<module>", "")
     return sites
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    """Each module of the package, parsed, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(defectlab.__file__).parent.glob("*.py")}
 
 
 def test_numeric_ranges_are_tested_in_errors_alone():
     sites = {
-        (path.name, function)
-        for path in Path(defectlab.__file__).parent.glob("*.py") if path.name != "errors.py"
-        for function in _isfinite_calls(ast.parse(path.read_text(encoding="utf-8")))
+        (name, function)
+        for name, tree in _src_trees().items() if name != "errors.py"
+        for function in _calling_functions(tree, lambda call: _called_name(call) == "isfinite")
     }
     assert sites <= ISFINITE_SITES
+
+
+#: The functions that may build a ValidationError with a list of problems:
+#: ``errors.refuse``, which every other site that finds several problems
+#: calls, and DefectRecord's constructor, which words its header only once
+#: a record fails, since a ledger builds one record per row.
+LISTING_SITES = {("errors.py", "refuse"), ("ledger.py", "DefectRecord.__init__")}
+
+
+def _lists_problems(call: ast.Call) -> bool:
+    return _called_name(call) == "ValidationError" and (len(call.args) > 1 or bool(call.keywords))
+
+
+def test_a_list_of_problems_is_raised_by_refuse_alone():
+    sites = {
+        (name, function)
+        for name, tree in _src_trees().items()
+        for function in _calling_functions(tree, _lists_problems)
+    }
+    assert sites <= LISTING_SITES
+
+
+def test_every_range_check_returns_its_problem():
+    # A check that appends to a list its caller passes in is the one
+    # other shape; each returns ``str | None`` instead, for refuse to list.
+    takers = {
+        (name, node.name)
+        for name, tree in _src_trees().items()
+        for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg == "problems"
+    }
+    assert takers == set()
