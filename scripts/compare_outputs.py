@@ -3,11 +3,14 @@
     python3 scripts/compare_outputs.py PARENT CHANGE [--rows N ...]
 
 For each row count, ``perfbench/gen.py --seed 1`` writes the inputs
-once.  Then every command kind of ``perfbench/run.py``'s ``script()``,
+once.  Then every command kind of ``perfbench/run.py``'s ``script()`` runs,
 followed by the CSV forms of ``metrics`` and ``forecast --table``, by
-``report --product p07 --bucket-days 1``, and by two ``forecast``
-commands refused for several flags at once, whose one ``error:`` line
-lists every problem, runs as ``python -m
+``report --product p07 --bucket-days 1`` and ``metrics --product p07``,
+by ``fit-arrival --out``, which writes its fit to a file and prints a
+summary, and by ``estimate --uf 2182``.  Last come four refusals:
+``metrics`` and ``report`` for an unknown ``--product``, and two
+``forecast`` commands refused for several flags at once, whose one
+``error:`` line lists every problem.  Each runs as ``python -m
 defectlab`` in PARENT, in order, and again in CHANGE, each with that
 checkout's ``src`` on ``PYTHONPATH``.  Both sides read the same input
 paths and write to the same output paths, since ``ingest`` and
@@ -93,9 +96,11 @@ def compare(parent: Path, change: Path, rows: int, work: Path) -> list[str]:
     commands = runner.script(runner.Workload(rows=rows, mc_trials=MC_TRIALS), inputs, outputs,
                              SEED)
     # The benchmark runs the first two commands in their JSON form only,
-    # ``report`` only over all products at 7-day buckets, where the
-    # overlay has a few dozen points, and no refusal that lists several
-    # problems.  The ledger is the one its ``ingest`` wrote.
+    # ``metrics`` and ``report`` only over all products, ``report`` at
+    # 7-day buckets, where the overlay has a few dozen points,
+    # ``fit-arrival`` only to stdout, ``estimate`` only with ``--fit``,
+    # and no refusal of an unknown product or of several problems at
+    # once.  The ledger is the one its ``ingest`` wrote.
     ledger = f"{outputs}/ledger.json"
     commands += [
         runner.Command("metrics_csv", ("metrics", "--ledger", ledger, "--format", "csv"), 0),
@@ -104,6 +109,15 @@ def compare(parent: Path, change: Path, rows: int, work: Path) -> list[str]:
         runner.Command("report_p07_daily",
                        ("report", "--ledger", ledger, "--svg", f"{outputs}/p07.svg",
                         "--product", "p07", "--bucket-days", "1"), 0),
+        runner.Command("metrics_p07", ("metrics", "--ledger", ledger, "--product", "p07"), 0),
+        runner.Command("fit_arrival_out", ("fit-arrival", "--series", f"{inputs}/series.csv",
+                                           "--out", f"{outputs}/fit.json"), 0),
+        runner.Command("estimate_uf", ("estimate", "--uf", "2182"), 0),
+        runner.Command("metrics_unknown_product",
+                       ("metrics", "--ledger", ledger, "--product", "nosuch"), 1),
+        runner.Command("report_unknown_product",
+                       ("report", "--ledger", ledger, "--svg", f"{outputs}/nosuch.svg",
+                        "--product", "nosuch"), 1),
         runner.Command("forecast_refused",
                        ("forecast", "--units", "0", "--dir", "2", "--dre", "nan",
                         "--threshold", "1e-320"), 1),

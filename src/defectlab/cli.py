@@ -2,10 +2,11 @@
 
 Subcommands: ingest, metrics, forecast, estimate, fit-arrival, report.
 Outputs are byte-deterministic for fixed inputs (and seed, for the
-Monte Carlo path); diagnostics go to stderr.  Exit codes: 0 success,
-1 validation or domain error, 2 I/O error, 3 numerical
-non-convergence.  Rate flags take fractions (0.07, not 7); outputs
-print both forms.
+Monte Carlo path); diagnostics go to stderr.  Each handler returns
+its stdout text, and ``run`` alone writes it and the one ``error:``
+line of a failure.  Exit codes: 0 success, 1 validation or domain
+error, 2 I/O error, 3 numerical non-convergence.  Rate flags take
+fractions (0.07, not 7); outputs print both forms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DivergenceError, NonConvergenceError, ValidationError, show_value
+from .errors import DivergenceError, NonConvergenceError, ValidationError, cut, show_value
 
 # Each handler imports the modules it uses, so a command loads only
 # its own, and argparse loads only for a command line ``_read_exact``
@@ -30,7 +31,7 @@ if TYPE_CHECKING:
     import argparse
     from collections.abc import Callable
 
-    from . import rayleigh, revisions
+    from . import ledger, rayleigh, revisions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -60,25 +61,35 @@ def _write_text(path: str, text: str) -> None:
             raise
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> str:
     from . import ledger
 
     records = ledger.parse_defect_log(_read_text(args.defects))
     profiles = ledger.parse_product_registry(_read_text(args.products))
     text = ledger.dump_ledger(profiles, records)
     _write_text(args.out, text)
-    print(json.dumps({"products": len(profiles), "defects": len(records), "out": args.out}))
-    return EXIT_OK
+    return json.dumps({"products": len(profiles), "defects": len(records), "out": args.out}) + "\n"
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from . import ledger, metrics
+def _load_scoped(
+    args: argparse.Namespace,
+) -> tuple[list[ledger.ProductProfile], list[ledger.DefectRecord]]:
+    """The profiles and records of ``--ledger`` within ``--product``, or all of them."""
+    from . import ledger
 
     profiles, records = ledger.load_ledger(_read_text(args.ledger))
     if args.product is not None:
         profiles = [p for p in profiles if p.product_id == args.product]
         if not profiles:
             raise ValidationError(f"unknown product {show_value(args.product)}")
+        records = [r for r in records if r.product_id == args.product]
+    return profiles, records
+
+
+def _cmd_metrics(args: argparse.Namespace) -> str:
+    from . import metrics
+
+    profiles, records = _load_scoped(args)
     by_product: dict[str, list[ledger.DefectRecord]] = {}
     for record in records:
         by_product.setdefault(record.product_id, []).append(record)
@@ -86,10 +97,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         metrics.summarize(by_product.get(p.product_id, []), p) for p in profiles
     ]
     if args.format == "csv":
-        sys.stdout.write(metrics.summaries_to_csv(summaries))
-    else:
-        sys.stdout.write(metrics.summaries_to_json(summaries))
-    return EXIT_OK
+        return metrics.summaries_to_csv(summaries)
+    return metrics.summaries_to_json(summaries)
 
 
 def _rates_payload(params: revisions.ProcessParams) -> dict:
@@ -103,7 +112,7 @@ def _rates_payload(params: revisions.ProcessParams) -> dict:
     }
 
 
-def _cmd_forecast(args: argparse.Namespace) -> int:
+def _cmd_forecast(args: argparse.Namespace) -> str:
     from . import revisions
 
     threshold = revisions.SIGNOFF_THRESHOLD if args.threshold is None else args.threshold
@@ -115,10 +124,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
         if args.dir is not None or args.dre is not None:
             raise ValidationError("--dir and --dre do not apply to --table output")
         grid = revisions.revision_table(args.units, threshold=threshold)
-        sys.stdout.write(
-            revisions.grid_to_csv(grid) if args.format == "csv" else revisions.grid_to_json(grid)
-        )
-        return EXIT_OK
+        return revisions.grid_to_csv(grid) if args.format == "csv" else revisions.grid_to_json(grid)
     if args.format == "csv":
         raise ValidationError("--format csv applies only to --table output")
     if args.dir is None or args.dre is None:
@@ -146,11 +152,10 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
             "revisions": trajectory.revisions,
             "expected_defects": list(trajectory.expected_defects),
         }
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> str:
     from . import sizing
 
     if (args.uf is None) == (args.fit is None):
@@ -176,8 +181,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 payload[form] = model._asdict() | {"rss": rss}
     for caught_warning in caught:
         print(f"warning: {caught_warning.message}", file=sys.stderr)
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _fit_payload(fit: rayleigh.RayleighFit, days: float | None, **between) -> dict:
@@ -192,7 +196,7 @@ def _fit_payload(fit: rayleigh.RayleighFit, days: float | None, **between) -> di
     }
 
 
-def _cmd_fit_arrival(args: argparse.Namespace) -> int:
+def _cmd_fit_arrival(args: argparse.Namespace) -> str:
     from . import ledger, rayleigh
 
     # A fit needs three buckets, so a fitted series always has a width.
@@ -203,13 +207,11 @@ def _cmd_fit_arrival(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
-        print(json.dumps({"out": args.out}))
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        return json.dumps({"out": args.out}) + "\n"
+    return text
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> str:
     from datetime import timedelta
 
     from . import charts, ledger, rayleigh
@@ -222,13 +224,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     width = timedelta(days=args.bucket_days)
     if not width:  # a timedelta holds whole microseconds
         raise ValidationError(f"--bucket-days {args.bucket_days} rounds to a zero-width bucket")
-    profiles, records = ledger.load_ledger(_read_text(args.ledger))
-    scope = "all products"
-    if args.product is not None:
-        if not any(p.product_id == args.product for p in profiles):
-            raise ValidationError(f"unknown product {show_value(args.product)}")
-        records = [r for r in records if r.product_id == args.product]
-        scope = args.product
+    _profiles, records = _load_scoped(args)
     if not records:
         raise ValidationError("no defect records to chart")
     counts = ledger.arrival_series(records, width)
@@ -241,25 +237,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (NonConvergenceError, ValidationError) as exc:
         fit_note = str(exc)
 
+    scope = "all products" if args.product is None else args.product
     svg = charts.arrival_chart(counts, fitted, title=f"Defect arrivals: {scope}")
     _write_text(args.svg, svg)
-    print(json.dumps({
+    return json.dumps({
         "defects": len(records),
         "buckets": len(counts),
         "bucket_days": args.bucket_days,
         "fit": fit_payload,
         "fit_note": fit_note,
         "svg": args.svg,
-    }, indent=2))
-    return EXIT_OK
+    }, indent=2) + "\n"
 
 
 #: Each subcommand's handler, help line and flags, in ``--help`` order.
 #: A flag maps to its ``add_argument`` keywords; ``_build_parser``
 #: passes them on as they are, and ``_read_exact`` reads ``action``,
 #: ``type``, ``choices``, ``required`` and ``default`` from the same
-#: dicts.  ``_dispatch`` calls the handler.
-_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, dict]]] = {
+#: dicts.  ``run`` calls the handler and writes the text it returns.
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], str], str, dict[str, dict]]] = {
     "ingest": (_cmd_ingest, "validate a defect CSV and product JSON into a ledger", {
         "--defects": {"required": True, "help": "defect log CSV path"},
         "--products": {"required": True, "help": "product registry JSON path"},
@@ -309,8 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message: str):  # noqa: ANN201 - argparse signature
-            # argparse echoes unrecognized tokens raw; escape a newline in one.
-            raise ValidationError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
+            # argparse echoes a flag's value and unrecognized tokens raw and
+            # whole: escape a newline in one, and cut an over-long message.
+            escaped = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+            raise ValidationError(cut(escaped))
 
     parser = _Parser(prog="defectlab", description="Defect analytics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -361,33 +359,11 @@ def _read_exact(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _dispatch(argv: Sequence[str] | None) -> int:
-    try:
-        if sys.stdout is None:  # started with file descriptor 1 closed
-            raise OSError(errno.EBADF, "standard output is closed")
-        try:
-            args = _read_exact(sys.argv[1:] if argv is None else argv)
-            if args is None:
-                args = _build_parser().parse_args(argv)
-            return _COMMANDS[args.command][0](args)
-        finally:
-            # A failed write to stdout is an I/O error, here and not at exit.
-            sys.stdout.flush()
-    except SystemExit as exc:  # --help
-        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DivergenceError, NonConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, dispatch, and map errors to exit codes.
+    """Parse argv, run the command, write its output, and map errors to exit codes.
+
+    Each handler returns its stdout text; ``run`` alone writes it, and
+    alone prints the one ``error:`` line of a failure.
 
     A command line of exact long flags with valid values is read from
     ``_COMMANDS`` without building a parser; argparse reads the rest, so
@@ -405,10 +381,27 @@ def run(argv: Sequence[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _dispatch(argv)
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
+        try:
+            args = _read_exact(sys.argv[1:] if argv is None else argv)
+            if args is None:
+                args = _build_parser().parse_args(argv)
+            sys.stdout.write(_COMMANDS[args.command][0](args))
+        finally:
+            # A failed write to stdout is an I/O error, here and not at exit.
+            sys.stdout.flush()
+    except SystemExit as exc:  # --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
+    except (ValidationError, DivergenceError, NonConvergenceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ValidationError):
+            return EXIT_VALIDATION
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_NUMERIC
     finally:
         if was_enabled:
             gc.enable()
+    return EXIT_OK
 
 
 def main() -> None:

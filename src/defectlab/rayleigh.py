@@ -171,7 +171,9 @@ def remaining_defects(fit: RayleighFit, t: float) -> float:
 def time_to_threshold(fit: RayleighFit, residual_threshold: float) -> float:
     """Time at which the undiscovered count falls to the threshold.
 
-    Closed-form inversion: t = sigma * sqrt(2 * ln(K / threshold)).
+    Closed-form inversion: t = sigma * sqrt(2 * ln(K / threshold)).  The
+    logarithm is taken as ln K - ln threshold, since the quotient itself
+    can overflow where the time is finite.
     """
     if problem := real_problem("residual_threshold", residual_threshold):
         raise ValidationError(problem)
@@ -179,4 +181,4 @@ def time_to_threshold(fit: RayleighFit, residual_threshold: float) -> float:
         raise ValidationError(
             f"residual_threshold {residual_threshold} must be below k_total {fit.k_total}"
         )
-    return fit.sigma * math.sqrt(2.0 * math.log(fit.k_total / residual_threshold))
+    return fit.sigma * math.sqrt(2.0 * (math.log(fit.k_total) - math.log(residual_threshold)))

@@ -874,6 +874,11 @@ CONTRACT_CASES = {
     "an unrecognized token holding a newline, forecast": lambda t: [
         "forecast", "--units", "5", "--dir", "0.1", "--dre", "0.5", "x\nerror: injected",
     ],
+    "an over-long --seed, forecast": lambda t: [
+        "forecast", "--units", "2182", "--dir", "0.07", "--dre", "0.75",
+        "--monte-carlo", "--trials", "1", "--seed", "1" + "0" * 5000,
+    ],
+    "an over-long --units, forecast": lambda t: ["forecast", "--units", "x" + "y" * 300],
     "report --bucket-days 1e10": lambda t: [
         "report", "--ledger", _ledger(t), "--svg", str(t / "out.svg"), "--bucket-days", "1e10",
     ],
@@ -1026,6 +1031,13 @@ CONTRACT_STDERR = {
     # argparse joins unrecognized tokens raw; the message escapes the newline.
     "an unrecognized token holding a newline, forecast": (
         "error: unrecognized arguments: x\\nerror: injected\n"
+    ),
+    # argparse echoes a value that does not convert whole; the message is cut.
+    "an over-long --seed, forecast": (
+        "error: argument --seed: invalid int value: '1" + "0" * 62 + "... (5039 characters)\n"
+    ),
+    "an over-long --units, forecast": (
+        "error: argument --units: invalid int value: 'x" + "y" * 61 + "... (340 characters)\n"
     ),
     # An inferred width wider than any --bucket-days would be accepted.
     "series spacing beyond float range, fit-arrival --series": (

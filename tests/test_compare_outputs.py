@@ -75,3 +75,21 @@ def test_a_changed_refusal_is_reported(tmp_path):
         ["rows 300", "forecast_table_refused", "stderr"],
     ]
     assert total == "rows 300: 2 difference(s)"
+
+
+def test_a_changed_unknown_product_refusal_is_reported(tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(REPO / "src", change / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    module = change / "src" / "defectlab" / "cli.py"
+    text = module.read_text(encoding="utf-8")
+    old = '"unknown product '
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, '"no such product '), encoding="utf-8")
+    done = _compare(REPO, change)
+    assert done.returncode == 1, done.stdout + done.stderr
+    *found, total = done.stdout.splitlines()
+    assert [line.split(": ")[:3] for line in found] == [
+        ["rows 300", "metrics_unknown_product", "stderr"],
+        ["rows 300", "report_unknown_product", "stderr"],
+    ]
+    assert total == "rows 300: 2 difference(s)"

@@ -233,3 +233,28 @@ def test_every_range_check_returns_its_problem():
         if arg.arg == "problems"
     }
     assert takers == set()
+
+
+def _writes_stdout(call: ast.Call) -> bool:
+    target = getattr(call.func, "value", None)
+    return _called_name(call) == "write" and getattr(target, "attr", None) == "stdout"
+
+
+def _prints_an_error_line(call: ast.Call) -> bool:
+    return _called_name(call) == "print" and any(
+        isinstance(node, ast.Constant) and str(node.value).startswith("error:")
+        for arg in call.args for node in ast.walk(arg)
+    )
+
+
+def test_run_alone_writes_a_commands_output_and_its_error_line():
+    # Each handler returns its stdout text for run to write, and run
+    # prints the error line of every failure, so the exit-code contract
+    # is kept in one function.
+    tree = _src_trees()["cli.py"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert _calling_functions(tree, _writes_stdout) == {"run"}
+    assert [ast.unparse(call) for call in calls if _called_name(call) == "print"
+            and not any(keyword.arg == "file" for keyword in call.keywords)] == []
+    assert len([call for call in calls if _prints_an_error_line(call)]) == 1
+    assert _calling_functions(tree, _prints_an_error_line) == {"run"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,14 @@ class TestReadiness:
         fit = RayleighFit(k_total=k, sigma=sigma, sse=0.0, buckets_used=3)
         t = time_to_threshold(fit, threshold)
         assert remaining_defects(fit, t) == pytest.approx(threshold, rel=1e-9)
+
+    @pytest.mark.parametrize(("k_total", "threshold"), [(100.0, 1e-320), (1e308, 1e-10)])
+    def test_a_quotient_past_float_range_still_gives_the_closed_form(self, k_total, threshold):
+        # K / threshold overflows to inf here; the time itself is finite.
+        fit = RayleighFit(k_total=k_total, sigma=3.0, sse=1.0, buckets_used=5)
+        ln_ratio = Decimal(k_total).ln() - Decimal(threshold).ln()
+        expected = float(3 * (2 * ln_ratio).sqrt())
+        assert time_to_threshold(fit, threshold) == pytest.approx(expected, rel=1e-12)
 
     def test_threshold_at_or_above_total_rejected(self):
         with pytest.raises(ValidationError, match="below k_total"):
